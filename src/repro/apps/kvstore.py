@@ -17,6 +17,8 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Generator, List
 
+from repro.core.protocol import MAX_CONTROL_BATCH
+
 
 class KvError(Exception):
     """Unknown key or invalid store usage."""
@@ -50,20 +52,41 @@ class KvStore:
     # Loading
     # ------------------------------------------------------------------
     def load(self, client, key_ids, value_fn) -> Generator[Any, Any, None]:
-        """Allocate and write records for ``key_ids`` (bulk load phase)."""
-        for key_id in key_ids:
-            yield from self.insert(client, key_id, value_fn(key_id))
+        """Allocate and write records for ``key_ids`` (bulk load phase).
+
+        Records are allocated ``MAX_CONTROL_BATCH`` at a time with
+        ``gmalloc_many`` (one control RPC per chunk and master shard, not
+        one per record), then written one by one as :meth:`insert` does.
+        """
+        key_ids = list(key_ids)
+        for lo in range(0, len(key_ids), MAX_CONTROL_BATCH):
+            chunk = key_ids[lo:lo + MAX_CONTROL_BATCH]
+            if len(set(chunk)) < len(chunk):
+                raise KvError(f"duplicate key in {chunk}")
+            values = [value_fn(key_id) for key_id in chunk]
+            for key_id, value in zip(chunk, values):
+                self._check_new(key_id, value)
+            gaddrs = yield from client.gmalloc_many([self.value_size] * len(chunk))
+            for key_id, value, gaddr in zip(chunk, values, gaddrs):
+                yield from self._write_new(client, key_id, value, gaddr)
         yield from client.gsync()
 
     def insert(self, client, key_id: int, value: bytes) -> Generator[Any, Any, None]:
         """Add a new record."""
+        self._check_new(key_id, value)
+        gaddr = yield from client.gmalloc(self.value_size)
+        yield from self._write_new(client, key_id, value, gaddr)
+
+    def _check_new(self, key_id: int, value: bytes) -> None:
         if key_id in self._index:
             raise KvError(f"duplicate key {key_id}")
         if len(value) != self.value_size:
             raise KvError(
                 f"value of {len(value)} bytes; store is fixed at {self.value_size}"
             )
-        gaddr = yield from client.gmalloc(self.value_size)
+
+    def _write_new(self, client, key_id: int, value: bytes,
+                   gaddr: int) -> Generator[Any, Any, None]:
         yield from client.gwrite(gaddr, value)
         self._index[key_id] = gaddr
         bisect.insort(self._sorted_keys, key_id)

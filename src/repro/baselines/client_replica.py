@@ -84,6 +84,10 @@ class ReplicaClient:
         gaddr = yield from self.inner.gmalloc(size)
         return gaddr
 
+    def gmalloc_many(self, sizes) -> Generator[Any, Any, list]:
+        gaddrs = yield from self.inner.gmalloc_many(sizes)
+        return gaddrs
+
     def gfree(self, gaddr: int) -> Generator[Any, Any, None]:
         self._drop(gaddr)
         yield from self.inner.gfree(gaddr)

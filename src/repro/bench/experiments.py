@@ -196,7 +196,9 @@ def e02_write_latency(sizes: Sequence[int] = (64, 256, 1024, 4096, 16384, 65536)
 # ---------------------------------------------------------------------------
 def e03_scalability(client_counts: Sequence[int] = (1, 2, 4, 8),
                     server_counts: Sequence[int] = (1, 2, 4),
-                    ops_per_worker: int = 150, seed: int = 703) -> ExperimentResult:
+                    ops_per_worker: int = 150, seed: int = 703,
+                    shard_counts: Sequence[int] = (1, 2, 4),
+                    fanout_counts: Sequence[int] = (16, 32, 64, 128)) -> ExperimentResult:
     spec = WORKLOADS["B"].scaled(record_count=200, value_size=1024)
     table = Table(
         title="E3 YCSB-B throughput (kops/s) vs clients",
@@ -243,7 +245,6 @@ def e03_scalability(client_counts: Sequence[int] = (1, 2, 4, 8),
     # master with metadata RPCs and never touch the data plane, so the curve
     # isolates master-shard scaling — one master saturates its NIC, shards
     # split the metadata by home server (sid % N) and serve in parallel.
-    shard_counts: Sequence[int] = (1, 2, 4)
     shard_workers, shard_ops = 64, 40
     shards_t = Table(
         title="E3c metadata throughput vs master shards (64 workers)",
@@ -283,7 +284,6 @@ def e03_scalability(client_counts: Sequence[int] = (1, 2, 4, 8),
     # receive pools — the elastic shared pool (PROTOCOLS.md §12) grows in
     # powers of two as clients attach, where the historical fixed 16-slot
     # rings wedged at >=16 concurrent clients.
-    fanout_counts: Sequence[int] = (16, 32, 64, 128)
     fanout_spec = WORKLOADS["B"].scaled(record_count=256, value_size=128)
     fanout_t = Table(
         title="E3d YCSB-B throughput vs attached clients "

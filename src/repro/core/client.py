@@ -59,6 +59,7 @@ from repro.core.hotness import AccessPredictor
 from repro.core.layout import DramCarver
 from repro.core.protocol import (
     CACHE_TAG_BYTES,
+    MAX_CONTROL_BATCH,
     PROXY_COMMIT_BYTES,
     ObjectMeta,
     RingDescriptor,
@@ -488,49 +489,10 @@ class GengarClient:
         try:
             result = yield from rpc.call(method, payload)
         except RpcError as exc:
-            msg = str(exc)
-            if "not my shard" in msg:
-                owner, epoch = self._learn_redirect(msg)
-                self.m_shard_redirects.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "shard", f"{method} redirected",
-                          client=self.name, shard=shard, owner=owner)
-                raise NotMyShard(
-                    f"{method}: {msg}", shard_id=shard, owner_shard=owner,
-                    map_epoch=epoch) from exc
-            if "master deposed" in msg or "stale master term" in msg:
-                self.m_stale_terms.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "term", f"{method} hit a deposed master",
-                          client=self.name, shard=shard)
-                err = StaleTermError(
-                    f"{method}: {msg}",
-                    known_term=self._master_terms.get(shard, 0))
-                err.shard = shard
-                raise err from exc
-            if "transport failed" in msg:
-                streak = self._master_fail_streaks.get(shard, 0) + 1
-                self._master_fail_streaks[shard] = streak
-                if streak >= _SUSPECT_STREAK:
-                    self.m_partition_suspected.add()
-                    if self.sim.tracer is not None:
-                        trace(self.sim, "partition",
-                              "master path suspected partitioned",
-                              client=self.name, shard=shard,
-                              failures=streak)
-                    err = PartitionSuspected(
-                        f"{method}: {streak} consecutive "
-                        f"master transport failures ({msg})")
-                    err.shard = shard
-                    raise err from exc
-                err = MasterUnavailableError(f"{method}: {msg}")
-                err.shard = shard
-                raise err from exc
-            if "master recovering" in msg:
-                err = MasterUnavailableError(f"{method}: {msg}")
-                err.shard = shard
-                raise err from exc
-            raise
+            err = self._master_error(method, str(exc), shard)
+            if err is None:
+                raise
+            raise err from exc
         self._master_fail_streaks[shard] = 0
         if (isinstance(result, dict) and len(result) == 2
                 and "t" in result and "r" in result):
@@ -552,6 +514,49 @@ class GengarClient:
             self._master_terms[shard] = term
             result = result["r"]
         return result
+
+    def _master_error(self, method: str, msg: str,
+                      shard: int) -> Optional[Exception]:
+        """The typed error for a failed master call (or a failed item of a
+        list-form one) whose error text is ``msg``; None when the failure
+        has no typed form and surfaces as the plain :class:`RpcError`."""
+        if "not my shard" in msg:
+            owner, epoch = self._learn_redirect(msg)
+            self.m_shard_redirects.add()
+            if self.sim.tracer is not None:
+                trace(self.sim, "shard", f"{method} redirected",
+                      client=self.name, shard=shard, owner=owner)
+            return NotMyShard(
+                f"{method}: {msg}", shard_id=shard, owner_shard=owner,
+                map_epoch=epoch)
+        if "master deposed" in msg or "stale master term" in msg:
+            self.m_stale_terms.add()
+            if self.sim.tracer is not None:
+                trace(self.sim, "term", f"{method} hit a deposed master",
+                      client=self.name, shard=shard)
+            err = StaleTermError(
+                f"{method}: {msg}",
+                known_term=self._master_terms.get(shard, 0))
+        elif "transport failed" in msg:
+            streak = self._master_fail_streaks.get(shard, 0) + 1
+            self._master_fail_streaks[shard] = streak
+            if streak >= _SUSPECT_STREAK:
+                self.m_partition_suspected.add()
+                if self.sim.tracer is not None:
+                    trace(self.sim, "partition",
+                          "master path suspected partitioned",
+                          client=self.name, shard=shard, failures=streak)
+                err = PartitionSuspected(
+                    f"{method}: {streak} consecutive "
+                    f"master transport failures ({msg})")
+            else:
+                err = MasterUnavailableError(f"{method}: {msg}")
+        elif "master recovering" in msg:
+            err = MasterUnavailableError(f"{method}: {msg}")
+        else:
+            return None
+        err.shard = shard
+        return err
 
     def _resolve_shard(self, gaddr: int) -> int:
         """Which shard owns ``gaddr``'s home server, per the client-side
@@ -643,20 +648,44 @@ class GengarClient:
         scrubbed server-side before reuse, so no allocation can observe a
         previous object's bytes.
         """
+        (gaddr,) = yield from self.gmalloc_many([size])
+        return gaddr
+
+    def gmalloc_many(self, sizes) -> Generator[Any, Any, list]:
+        """Allocate one object per entry of ``sizes``; returns their global
+        addresses in argument order.
+
+        Items are spread over the master shards by the same round-robin as
+        :meth:`gmalloc`, and each shard gets one list-form ``gmalloc`` RPC
+        per :data:`~repro.core.protocol.MAX_CONTROL_BATCH` items.  Every
+        item carries its own idempotency token, so a retried batch never
+        allocates an item twice.  All or nothing: if the batch fails, the
+        objects it did allocate are freed before the error propagates.
+        """
         self._require_attached()
-        req_id = self._next_req_id()
+        sizes = list(sizes)
+        req_ids = [self._next_req_id() for _ in sizes]
         if self._num_shards > 1:
-            # Spread allocations round-robin across shards; the memo pins
-            # every retry of this req_id to one shard so its dedup entry
-            # is consulted where it lives.
-            self._req_shards[req_id] = self._alloc_rr % self._num_shards
-            self._alloc_rr += 1
+            # The memo pins every retry of an item to one shard so its
+            # dedup entry is consulted where it lives.
+            for req_id in req_ids:
+                self._req_shards[req_id] = self._alloc_rr % self._num_shards
+                self._alloc_rr += 1
+        done: Dict[int, ObjectMeta] = {}
         try:
-            meta = yield from self._resilient(
-                "gmalloc", lambda: self._gmalloc_once(size, req_id))
+            metas = yield from self._resilient(
+                "gmalloc", lambda: self._gmalloc_once(sizes, req_ids, done))
+        except (ClientError, RpcError):
+            for meta in done.values():
+                try:
+                    yield from self.gfree(meta.gaddr)
+                except (ClientError, RpcError):
+                    pass  # the original failure is the one to report
+            raise
         finally:
-            self._req_shards.pop(req_id, None)
-        return meta.gaddr
+            for req_id in req_ids:
+                self._req_shards.pop(req_id, None)
+        return [meta.gaddr for meta in metas]
 
     def _next_req_id(self) -> int:
         """Mint an idempotency token: globally unique (uid is master-issued
@@ -665,22 +694,60 @@ class GengarClient:
         self._req_seq += 1
         return (self.uid << 32) | self._req_seq
 
-    def _gmalloc_once(self, size: int, req_id: int = 0) -> Generator[Any, Any, ObjectMeta]:
-        shard = self._req_shards.get(req_id, 0)
-        try:
-            meta = yield from self._master_call(
-                "gmalloc", {"size": size, "client": self.name,
-                            "req_id": req_id}, shard=shard)
-        except NotMyShard as exc:
-            # A reshard moved the allocation's home mid-retry: chase the
-            # dedup entry to the owning shard so the retry observes the
-            # original outcome instead of double-allocating.
-            if exc.owner_shard is not None:
-                self._req_shards[req_id] = exc.owner_shard
-            raise
-        if self.config.metadata_cache:
-            self._store_meta(meta)
-        return meta
+    def _gmalloc_once(self, sizes, req_ids,
+                      done: Optional[Dict[int, ObjectMeta]] = None
+                      ) -> Generator[Any, Any, list]:
+        """One attempt at allocating ``sizes`` (``req_ids`` are their
+        tokens); returns their metadata in order.
+
+        Items already in ``done`` (req_id -> meta, kept by the caller across
+        retries) are not re-sent; the rest go out as one list-form
+        ``gmalloc`` per shard and chunk.  An item redirected by a reshard is
+        re-pinned to its new owner and fails this attempt with
+        :class:`NotMyShard`, so the retry presents it there.
+        """
+        if done is None:
+            done = {}
+        by_shard: Dict[int, list] = {}
+        for size, req_id in zip(sizes, req_ids):
+            if req_id not in done:
+                shard = self._req_shards.get(req_id, 0)
+                by_shard.setdefault(shard, []).append((size, req_id))
+        redirect = None
+        for shard in sorted(by_shard):
+            items = by_shard[shard]
+            for lo in range(0, len(items), MAX_CONTROL_BATCH):
+                chunk = items[lo:lo + MAX_CONTROL_BATCH]
+                try:
+                    replies = yield from self._master_call(
+                        "gmalloc", {"sizes": [size for size, _ in chunk],
+                                    "req_ids": [req_id for _, req_id in chunk],
+                                    "client": self.name}, shard=shard)
+                except NotMyShard as exc:
+                    # A reshard moved the allocation's home mid-retry: chase
+                    # the dedup entries to the owning shard so the retry
+                    # observes the original outcome instead of
+                    # double-allocating.
+                    if exc.owner_shard is not None:
+                        for _, req_id in chunk:
+                            self._req_shards[req_id] = exc.owner_shard
+                    raise
+                for (_, req_id), reply in zip(chunk, replies):
+                    if isinstance(reply, str):
+                        err = self._master_error("gmalloc", reply, shard)
+                        if err is None:
+                            raise RpcError(reply)
+                        if (isinstance(err, NotMyShard)
+                                and err.owner_shard is not None):
+                            self._req_shards[req_id] = err.owner_shard
+                        redirect = redirect or err
+                        continue
+                    done[req_id] = reply
+                    if self.config.metadata_cache:
+                        self._store_meta(reply)
+        if redirect is not None:
+            raise redirect
+        return [done[req_id] for req_id in req_ids]
 
     def gfree(self, gaddr: int) -> Generator[Any, Any, None]:
         """Free a pool object.  Outstanding writes are synced first."""
@@ -1415,31 +1482,41 @@ class GengarClient:
         results: list = [None] * len(gaddrs)
         fallback: list = []  # indices routed through serial gread
         groups: Dict[int, list] = {}  # server_id -> [(idx, gaddr, meta, len)]
+        misses: Dict[int, list] = {}  # gaddr -> indices, metadata not cached
         for idx, gaddr in enumerate(gaddrs):
             meta = self._cached_meta(gaddr)
             if meta is None:
-                try:
-                    meta = yield from self._meta(gaddr, span_op=span_op)
-                except ClientError:
-                    fallback.append(idx)  # serial gread retries the lookup
-                    continue
-            length = meta.size
-            pending = self._overlay.get(gaddr)
-            if pending is not None:
-                if pending.offset == 0 and len(pending.data) >= length:
-                    self.m_reads.add()
-                    self.m_overlay_hits.add()
-                    self._note_access(gaddr, read=True)
-                    self.h_read.record(self.sim.now - start)
-                    results[idx] = pending.data[:length]
-                else:
-                    fallback.append(idx)  # partial overlap: gread syncs first
-                continue
-            if length > _SCRATCH_SLOT_SIZE - CACHE_TAG_BYTES:
-                fallback.append(idx)  # chunked path stays serial
-                continue
-            groups.setdefault(meta.server_id, []).append(
-                (idx, gaddr, meta, length))
+                misses.setdefault(gaddr, []).append(idx)
+            else:
+                self._plan_read(idx, gaddr, meta, start, results, fallback,
+                                groups)
+        if misses:
+            # Every miss in the batch resolves through one list-form lookup
+            # per shard (and chunk).  A failed RPC or a failed item (freed,
+            # resharded) sends just those reads to serial gread, which
+            # retries the lookup alone.
+            by_shard: Dict[int, list] = {}
+            for gaddr in misses:
+                by_shard.setdefault(self._resolve_shard(gaddr), []).append(gaddr)
+            for shard in sorted(by_shard):
+                wanted = by_shard[shard]
+                for lo in range(0, len(wanted), MAX_CONTROL_BATCH):
+                    chunk = wanted[lo:lo + MAX_CONTROL_BATCH]
+                    try:
+                        replies = yield from self._lookup(shard, chunk, span_op)
+                    except ClientError:
+                        replies = [None] * len(chunk)
+                    for gaddr, meta in zip(chunk, replies):
+                        if isinstance(meta, ObjectMeta):
+                            for idx in misses[gaddr]:
+                                self._plan_read(idx, gaddr, meta, start,
+                                                results, fallback, groups)
+                            continue
+                        if meta is not None:
+                            # Learn a redirect so the serial retry dials
+                            # the owner.
+                            self._master_error("lookup", meta, shard)
+                        fallback.extend(misses[gaddr])
 
         if groups:
             # One CPU pass covers building every WQE in the batch.
@@ -1549,6 +1626,28 @@ class GengarClient:
         if failures:
             raise failures[0][1]
         return results
+
+    def _plan_read(self, idx: int, gaddr: int, meta: ObjectMeta, start: int,
+                   results: list, fallback: list, groups: dict) -> None:
+        """Route item ``idx`` of a ``gread_many``: served from the write
+        overlay now, left to serial gread, or queued in its home server's
+        doorbell group."""
+        length = meta.size
+        pending = self._overlay.get(gaddr)
+        if pending is not None:
+            if pending.offset == 0 and len(pending.data) >= length:
+                self.m_reads.add()
+                self.m_overlay_hits.add()
+                self._note_access(gaddr, read=True)
+                self.h_read.record(self.sim.now - start)
+                results[idx] = pending.data[:length]
+            else:
+                fallback.append(idx)  # partial overlap: gread syncs first
+            return
+        if length > _SCRATCH_SLOT_SIZE - CACHE_TAG_BYTES:
+            fallback.append(idx)  # chunked path stays serial
+            return
+        groups.setdefault(meta.server_id, []).append((idx, gaddr, meta, length))
 
     @staticmethod
     def _attach_combine_groups(wrs) -> None:
@@ -1880,17 +1979,31 @@ class GengarClient:
         meta = self._cached_meta(gaddr)
         if meta is not None:
             return meta
+        shard = self._resolve_shard(gaddr)
+        (reply,) = yield from self._lookup(shard, [gaddr], span_op)
+        if isinstance(reply, str):
+            raise self._master_error("lookup", reply, shard) or RpcError(reply)
+        return reply
+
+    def _lookup(self, shard: int, gaddrs: list,
+                span_op: int = 0) -> Generator[Any, Any, list]:
+        """One list-form ``lookup`` RPC to ``shard`` (at most
+        ``MAX_CONTROL_BATCH`` addresses).  Returns one entry per address:
+        its metadata (cached when the metadata cache is on), or the error
+        text that address failed with."""
         rec = self.sim.spans
         t0 = self.sim.now if rec is not None else 0
-        meta = yield from self._master_call(
-            "lookup", {"gaddr": gaddr}, shard=self._resolve_shard(gaddr))
-        self.m_lookups.add()
+        replies = yield from self._master_call(
+            "lookup", {"gaddrs": gaddrs}, shard=shard)
+        for reply in replies:
+            if not isinstance(reply, str):
+                self.m_lookups.add()
+                if self.config.metadata_cache:
+                    self._store_meta(reply)
         if rec is not None:
             rec.record(self.name, "phase.meta_lookup", t0, op=span_op,
-                       gaddr=hex(gaddr))
-        if self.config.metadata_cache:
-            self._store_meta(meta)
-        return meta
+                       objects=len(gaddrs))
+        return replies
 
     def _invalidate_meta(self, gaddr: int) -> None:
         self._meta_cache.pop(gaddr, None)

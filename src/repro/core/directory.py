@@ -62,6 +62,7 @@ class Directory:
     def __init__(self):
         self._objects: Dict[int, ObjectRecord] = {}
         self._cached_bytes: Dict[int, int] = {}  # server_id -> bytes cached
+        self._cached_count: Dict[int, int] = {}  # server_id -> objects cached
 
     # ------------------------------------------------------------------
     def add(self, server_id: int, nvm_offset: int, size: int, lock_idx: int) -> ObjectRecord:
@@ -82,9 +83,7 @@ class Directory:
         if record is None:
             raise DirectoryError(f"unknown object {gaddr:#x}")
         if record.cached:
-            self._cached_bytes[record.server_id] = (
-                self._cached_bytes.get(record.server_id, 0) - record.size
-            )
+            self._account_cached(record, -1)
         return record
 
     def get(self, gaddr: int) -> ObjectRecord:
@@ -114,9 +113,7 @@ class Directory:
         record.cached = True
         record.cache_offset = cache_offset
         record._meta_snapshot = None
-        self._cached_bytes[record.server_id] = (
-            self._cached_bytes.get(record.server_id, 0) + record.size
-        )
+        self._account_cached(record, 1)
 
     def mark_uncached(self, gaddr: int) -> None:
         record = self.get(gaddr)
@@ -125,13 +122,22 @@ class Directory:
         record.cached = False
         record.cache_offset = 0
         record._meta_snapshot = None
-        self._cached_bytes[record.server_id] = (
-            self._cached_bytes.get(record.server_id, 0) - record.size
-        )
+        self._account_cached(record, -1)
+
+    def _account_cached(self, record: ObjectRecord, sign: int) -> None:
+        """Move ``record`` into (+1) or out of (-1) its server's cached
+        bytes and object-count ledgers."""
+        sid = record.server_id
+        self._cached_bytes[sid] = self._cached_bytes.get(sid, 0) + sign * record.size
+        self._cached_count[sid] = self._cached_count.get(sid, 0) + sign
 
     def cached_bytes(self, server_id: int) -> int:
         """Bytes of objects currently cached on ``server_id``."""
         return self._cached_bytes.get(server_id, 0)
+
+    def cached_count(self, server_id: int) -> int:
+        """Number of objects currently cached on ``server_id``."""
+        return self._cached_count.get(server_id, 0)
 
     # ------------------------------------------------------------------
     def take_server(self, server_id: int) -> list:
@@ -139,21 +145,20 @@ class Directory:
 
         Reshard export: the records leave with their cached/pinned state
         intact (the adopting directory re-accounts them), and this
-        directory's cached-bytes ledger for the server drops to zero.
+        directory's cached ledgers for the server drop to zero.
         """
         taken = [r for r in self._objects.values() if r.server_id == server_id]
         for record in taken:
             del self._objects[record.gaddr]
         self._cached_bytes.pop(server_id, None)
+        self._cached_count.pop(server_id, None)
         return taken
 
     def adopt(self, record: ObjectRecord) -> None:
         """Insert a record exported by another directory, preserving its
-        cached-bytes accounting (reshard adoption)."""
+        cached accounting (reshard adoption)."""
         if record.gaddr in self._objects:
             raise DirectoryError(f"object {record.gaddr:#x} already exists")
         self._objects[record.gaddr] = record
         if record.cached:
-            self._cached_bytes[record.server_id] = (
-                self._cached_bytes.get(record.server_id, 0) + record.size
-            )
+            self._account_cached(record, 1)

@@ -179,8 +179,9 @@ class EpochDecayPolicy:
             ),
             key=lambda s: (-s.score, s.gaddr),
         )
+        demoted = set(demotions)
         surviving = sorted(
-            (s for s in cached if s.gaddr not in set(demotions)),
+            (s for s in cached if s.gaddr not in demoted),
             key=lambda s: (s.score, s.gaddr),
         )
 

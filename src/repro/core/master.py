@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.core.addressing import server_of
 from repro.core.allocator import ExtentAllocator, OutOfMemory, PoolAllocationPolicy
 from repro.core.config import GengarConfig
-from repro.core.directory import Directory
+from repro.core.directory import Directory, DirectoryError, ObjectRecord
 from repro.core.errors import RingSaturatedError
 from repro.core.hotness import EpochDecayPolicy, NeverCachePolicy
 from repro.core.layout import DramCarver
@@ -375,23 +375,42 @@ class Master:
         if self._deposed:
             raise MasterError(f"master deposed: term {self.term} superseded")
 
-    def _handle_gmalloc(self, request: dict) -> Generator[Any, Any, ObjectMeta]:
+    def _handle_gmalloc(self, request: dict) -> Generator[Any, Any, list]:
+        """Allocate one object per entry of ``sizes``; reply with one entry
+        per item, in request order: its :class:`ObjectMeta`, or the error
+        text a lone item would have failed with.
+
+        Every item carries its own idempotency token (``req_ids``).  A
+        retried batch gets the original object back for each item that
+        already executed and allocates only the rest.  If the object was
+        resharded away after the original executed, its dedup entry
+        travelled with it, so that item's entry is a "not my shard" redirect
+        to the owner, which replies from its copy.  Fresh allocation is all
+        or nothing: an item that fits nowhere undoes the batch's other fresh
+        allocations before the error goes back, so a failed batch leaks no
+        extent.
+        """
         self._check_serving()
-        size = request["size"]
-        if size <= 0:
-            raise MasterError(f"gmalloc size must be positive, got {size}")
-        req_id = request.get("req_id", 0)
-        if req_id and self._dedup_key(req_id) in self._alloc_replies:
-            # Retry of an RPC that executed but whose reply was lost:
+        sizes = request["sizes"]
+        req_ids = request["req_ids"]
+        for size in sizes:
+            if size <= 0:
+                raise MasterError(f"gmalloc size must be positive, got {size}")
+        replies: list = [None] * len(sizes)
+        fresh = []
+        for i, req_id in enumerate(req_ids):
+            gaddr = (self._alloc_replies.get(self._dedup_key(req_id))
+                     if req_id else None)
+            if gaddr is None:
+                fresh.append(i)
+                continue
+            # Retry of an item that executed but whose reply was lost:
             # return the original allocation instead of leaking a second.
-            # If the object was resharded away after the original executed,
-            # its dedup entry travelled with it — redirect the retry to the
-            # owner (which replies from its copy) instead of answering from
-            # a directory that no longer holds the record.
-            gaddr = self._alloc_replies[self._dedup_key(req_id)]
-            self._check_owner(gaddr)
-            self.dup_rpcs.add()
-            return self.directory.get(gaddr).to_meta()
+            replies[i] = self._resolve(gaddr)
+            if not isinstance(replies[i], str):
+                self.dup_rpcs.add()
+        if not fresh:
+            return replies
         if self._alloc_policy is None:
             # Resharded down to zero servers: redirect the alloc to a shard
             # that owns one (same wire format as the object redirect — the
@@ -408,23 +427,63 @@ class Master:
         preferred = None
         if self.config.placement == "rack-local":
             preferred = self._corack_servers(request.get("client", ""))
-        server_id = self._alloc_policy.choose(size, preferred=preferred)
-        handle = self._servers[server_id]
-        nvm_offset = handle.allocator.alloc(size)
-        lock_idx = handle.alloc_lock_idx()
-        record = self.directory.add(server_id, nvm_offset, size, lock_idx)
-        self._policies[server_id].track(record.gaddr, size)
-        self.allocations.add(size)
-        if self.config.metadata_journal:
-            # Durability before visibility: the allocation is journaled in
-            # the home server's NVM before the client learns the address.
-            yield from self._journal_append(handle, {
-                "op": JOURNAL_OP_ALLOC, "lock_idx": lock_idx,
-                "gaddr": record.gaddr, "size": size, "req_id": req_id,
-            })
-        if req_id:
-            self._alloc_replies[self._dedup_key(req_id)] = record.gaddr
-        return record.to_meta()
+        allocated = self._allocate([sizes[i] for i in fresh], preferred)
+        for i, (handle, record) in zip(fresh, allocated):
+            req_id = req_ids[i]
+            if self.config.metadata_journal:
+                # Durability before visibility: every allocation is
+                # journaled in its home server's NVM before the client
+                # learns any address.
+                yield from self._journal_append(handle, {
+                    "op": JOURNAL_OP_ALLOC, "lock_idx": record.lock_idx,
+                    "gaddr": record.gaddr, "size": record.size,
+                    "req_id": req_id,
+                })
+            if req_id:
+                self._alloc_replies[self._dedup_key(req_id)] = record.gaddr
+            replies[i] = record.to_meta()
+        return replies
+
+    def _allocate(self, sizes: List[int],
+                  preferred) -> List[Tuple[_ServerHandle, ObjectRecord]]:
+        """Place, allocate and register one object per size, in order.
+
+        Takes no virtual time.  If any item fits nowhere (data extent or
+        lock word), every item allocated so far is undone before
+        :class:`OutOfMemory` propagates.
+        """
+        done: List[Tuple[_ServerHandle, ObjectRecord]] = []
+        try:
+            for size in sizes:
+                server_id = self._alloc_policy.choose(size, preferred=preferred)
+                handle = self._servers[server_id]
+                nvm_offset = handle.allocator.alloc(size)
+                try:
+                    lock_idx = handle.alloc_lock_idx()
+                except OutOfMemory:
+                    handle.allocator.free(nvm_offset)
+                    raise
+                done.append((handle, self.directory.add(
+                    server_id, nvm_offset, size, lock_idx)))
+        except OutOfMemory:
+            for handle, record in reversed(done):
+                self.directory.remove(record.gaddr)
+                handle.allocator.free(record.nvm_offset)
+                handle.free_lock_idx(record.lock_idx)
+            raise
+        for _handle, record in done:
+            self._policies[record.server_id].track(record.gaddr, record.size)
+            self.allocations.add(record.size)
+        return done
+
+    def _resolve(self, gaddr: int) -> ObjectMeta | str:
+        """``gaddr``'s metadata if this shard owns it, else the error text
+        a lone lookup would fail with (unknown object or "not my shard")."""
+        try:
+            self._check_owner(gaddr)
+            return self.directory.get(gaddr).to_meta()
+        except (MasterError, DirectoryError) as exc:
+            return f"{type(exc).__name__}: {exc}"
 
     def _journal_append(self, handle: _ServerHandle,
                         payload: dict) -> Generator[Any, Any, int]:
@@ -466,10 +525,10 @@ class Master:
                 "op": JOURNAL_OP_FREE, "lock_idx": record.lock_idx,
                 "gaddr": gaddr, "size": record.size, "req_id": req_id,
             })
-        if record.cached:
-            yield from handle.rpc.call("demote", {"gaddr": gaddr})
         # Scrub before reuse: a later gmalloc of this extent must read as
         # zeros (calloc semantics), never as the previous object's bytes.
+        # The scrub also kills a cached copy's tag and frees its slot, so
+        # a cached object needs no separate demote.
         yield from handle.rpc.call(
             "scrub", {"offset": record.nvm_offset, "size": record.size}
         )
@@ -480,11 +539,14 @@ class Master:
             self._freed_reqs.add(self._dedup_key(req_id))
         return True
 
-    def _handle_lookup(self, request: dict) -> Generator[Any, Any, ObjectMeta]:
+    def _handle_lookup(self, request: dict) -> Generator[Any, Any, list]:
+        """Resolve every address in ``gaddrs`` with one CPU pass; reply with
+        one entry per address, in request order: its :class:`ObjectMeta`,
+        or the error text a lone lookup would have failed with.  A failed
+        item never fails its neighbours."""
         self._check_serving()
-        self._check_owner(request["gaddr"])
         yield from self.node.cpu_work()
-        return self.directory.get(request["gaddr"]).to_meta()
+        return [self._resolve(gaddr) for gaddr in request["gaddrs"]]
 
     def _handle_report(self, request: dict) -> Generator[Any, Any, List[Tuple[int, bool, int]]]:
         """Fold a client's access report; reply with location updates.
@@ -1534,12 +1596,9 @@ class Master:
                        demotions=len(plan.demotions))
 
     def _tag_overhead(self, sid: int) -> int:
-        cached_count = sum(
-            1 for r in self.directory.objects() if r.server_id == sid and r.cached
-        )
         # Reserve headroom for tags: one per currently cached object plus a
         # small margin for this epoch's promotions.
-        return (cached_count + 16) * CACHE_TAG_BYTES * 4
+        return (self.directory.cached_count(sid) + 16) * CACHE_TAG_BYTES * 4
 
     def _drain_coherent(self, size: int) -> bool:
         """Whether a cached copy of a ``size``-byte object stays coherent.

@@ -204,6 +204,13 @@ def default_shard_map(server_ids, num_shards: int) -> dict:
     return {sid: sid % num_shards for sid in server_ids}
 
 
+#: Most objects one list-form ``gmalloc`` or ``lookup`` RPC carries.  Bounded
+#: so the largest request and reply (every item an :class:`ObjectMeta`, or a
+#: per-item error text) fit one 4 KiB control-RPC buffer; callers split
+#: longer lists into chunks of this size.
+MAX_CONTROL_BATCH = 32
+
+
 # ---------------------------------------------------------------------------
 # Object metadata exchanged over RPC (plain dataclass; pickled by the RPC
 # layer with realistic size accounting).

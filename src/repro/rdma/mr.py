@@ -65,6 +65,9 @@ class MemoryRegion:
         self.base = base
         self.length = length
         self.access = access
+        #: ``access`` as a plain int: the per-verb check below compares ints
+        #: instead of going through ``enum.Flag`` operators.
+        self._access_bits = access._value_
         keys = _key_counter_for(device.sim)
         self.lkey = next(keys)
         self.rkey = next(keys)
@@ -78,7 +81,7 @@ class MemoryRegion:
                 f"{self.name}: access [{offset}, {offset + nbytes}) outside "
                 f"region length {self.length}"
             )
-        if need & ~self.access:
+        if need._value_ & ~self._access_bits:
             raise MrError(f"{self.name}: access flags {need} not granted ({self.access})")
 
     # ------------------------------------------------------------------

@@ -64,9 +64,21 @@ def test_e02_small_scale():
 
 
 def test_e03_small_scale():
-    result = e03_scalability(client_counts=(1, 2), ops_per_worker=30, seed=3)
+    # Small E3c/E3d axes keep this a smoke test; the full sweeps (through
+    # 128 clients) run in benchmarks/ and in the perf guard's fanout row.
+    result = e03_scalability(client_counts=(1, 2), ops_per_worker=30, seed=3,
+                             shard_counts=(1, 2), fanout_counts=(2, 4))
     rows = {row[0]: row[1:] for row in result.table("E3").rows}
     assert rows["gengar"][1] > rows["gengar"][0]
+    shards = result.table("E3c")
+    assert shards.headers == ["metric", "1", "2"]
+    assert [row[0] for row in shards.rows] == ["alloc/free kops/s",
+                                               "p99 latency (us)"]
+    assert all(v > 0 for row in shards.rows for v in row[1:])
+    fanout = result.table("E3d")
+    assert fanout.headers == ["metric", "2", "4"]
+    assert [row[0] for row in fanout.rows] == ["kops/s", "master pool slots"]
+    assert all(v > 0 for row in fanout.rows for v in row[1:])
 
 
 def test_e09_small_scale():

@@ -120,6 +120,58 @@ def test_cooled_object_demoted_and_slot_reusable():
     assert server.cache_alloc.allocated_bytes == 0  # slot returned
 
 
+def test_freeing_a_cached_object_kills_its_tag_without_a_demote_rpc():
+    """gfree of a promoted object relies on the server's scrub alone: the
+    slot's tag dies, the slot is freed, and the extent's next tenant reads
+    as zeros -- with no separate demote round trip from the master."""
+    from repro.core.protocol import tag_matches
+    from repro.rdma.rpc import RpcClient
+
+    sim, pool = build_pool(num_servers=1, num_clients=1)
+    client = pool.clients[0]
+    server = pool.servers[0]
+
+    def promote(sim):
+        gaddr = yield from client.gmalloc(1024)
+        yield from client.gwrite(gaddr, b"p" * 1024)
+        yield from client.gsync()
+        for _ in range(10):
+            yield from hammer(client, gaddr, 20)
+            yield sim.timeout(20_000)
+        return gaddr
+
+    (gaddr,) = pool.run(promote(sim))
+    assert pool.master.directory.get(gaddr).cached
+    slot = server.cached[gaddr].cache_offset
+    demotions = server.demotions.count
+
+    methods = []
+    orig_call = RpcClient.call
+
+    def spy(rpc, method, *args, **kw):
+        methods.append(method)
+        return orig_call(rpc, method, *args, **kw)
+
+    def free_and_realloc(sim):
+        yield from client.gfree(gaddr)
+        fresh = yield from client.gmalloc(1024)
+        data = yield from client.gread(fresh)
+        return fresh, data
+
+    RpcClient.call = spy
+    try:
+        ((fresh, data),) = pool.run(free_and_realloc(sim))
+    finally:
+        RpcClient.call = orig_call
+    assert "demote" not in methods and "scrub" in methods
+    assert fresh == gaddr  # the extent was reused at the same address
+    assert data == bytes(1024)
+    assert gaddr not in server.cached
+    assert server.demotions.count == demotions + 1
+    assert server.cache_alloc.allocated_bytes == 0  # slot returned
+    assert not tag_matches(server.cache_mr.peek(slot, 16), gaddr)
+
+
 def test_stale_client_metadata_self_heals_after_demotion():
     """A client that still believes an object is cached must detect the dead
     tag, refresh its metadata, and read NVM correctly."""

@@ -24,8 +24,8 @@ def test_gmalloc_retry_with_same_req_id_returns_the_original_allocation():
 
     def scenario(sim):
         req_id = client._next_req_id()
-        first = yield from client._gmalloc_once(64, req_id)
-        replay = yield from client._gmalloc_once(64, req_id)  # lost-reply retry
+        (first,) = yield from client._gmalloc_once([64], [req_id])
+        (replay,) = yield from client._gmalloc_once([64], [req_id])  # lost-reply retry
         return first.gaddr, replay.gaddr
 
     (result,) = pool.run(scenario(sim))
@@ -79,7 +79,7 @@ def test_dedup_tables_survive_a_master_rebuild():
 
     def before(sim):
         req_id = client._next_req_id()
-        meta = yield from client._gmalloc_once(64, req_id)
+        (meta,) = yield from client._gmalloc_once([64], [req_id])
         return req_id, meta.gaddr
 
     (result,) = pool.run(before(sim))
@@ -88,7 +88,7 @@ def test_dedup_tables_survive_a_master_rebuild():
 
     def after(sim):
         yield from pool.master.rebuild()
-        replay = yield from client._gmalloc_once(64, req_id)
+        (replay,) = yield from client._gmalloc_once([64], [req_id])
         return replay.gaddr
 
     (replayed,) = pool.run(after(sim))

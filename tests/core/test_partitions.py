@@ -74,7 +74,8 @@ def test_split_brain_old_master_cannot_ack_after_heal():
         yield sim.timeout(4 * LEASE)           # past the heal
         inj.uninstall()
         try:
-            yield from old._handle_gmalloc({"client": "client0", "size": 64})
+            yield from old._handle_gmalloc(
+                {"client": "client0", "sizes": [64], "req_ids": [0]})
         except MasterError as exc:
             caught = exc
         else:
@@ -125,7 +126,8 @@ def test_deposed_master_refuses_every_rpc_including_attach():
     def drive(sim):
         msgs = []
         for gen in (master._handle_attach({"client": "c9"}),
-                    master._handle_gmalloc({"client": "c9", "size": 64}),
+                    master._handle_gmalloc({"client": "c9", "sizes": [64],
+                                            "req_ids": [0]}),
                     master._handle_renew({"client": "client0", "epoch": 0})):
             try:
                 yield from gen

@@ -161,7 +161,7 @@ def test_alloc_retry_is_deduped_across_a_shard_failover():
     def before(sim):
         req_id = client._next_req_id()
         client._req_shards[req_id] = 1  # what gmalloc's round-robin pins
-        meta = yield from client._gmalloc_once(64, req_id)
+        (meta,) = yield from client._gmalloc_once([64], [req_id])
         return req_id, meta.gaddr
 
     (result,) = pool.run(before(sim))
@@ -173,7 +173,7 @@ def test_alloc_retry_is_deduped_across_a_shard_failover():
 
     def after(sim):
         yield from shard1.recovery_process(rebuild=True)
-        replay = yield from client._gmalloc_once(64, req_id)
+        (replay,) = yield from client._gmalloc_once([64], [req_id])
         return replay.gaddr
 
     (replayed,) = pool.run(after(sim))
@@ -364,7 +364,7 @@ def test_reshard_moves_dedup_entries_so_replays_stay_deduped():
     def before(sim):
         req_id = client._next_req_id()
         client._req_shards[req_id] = 1
-        meta = yield from client._gmalloc_once(64, req_id)
+        (meta,) = yield from client._gmalloc_once([64], [req_id])
         return req_id, meta.gaddr
 
     (result,) = pool.run(before(sim))
@@ -376,9 +376,9 @@ def test_reshard_moves_dedup_entries_so_replays_stay_deduped():
         # The replay first hits shard 1 (the memo), gets redirected, and
         # must then be served from shard 0's adopted dedup table.
         try:
-            meta = yield from client._gmalloc_once(64, req_id)
+            (meta,) = yield from client._gmalloc_once([64], [req_id])
         except NotMyShard:
-            meta = yield from client._gmalloc_once(64, req_id)
+            (meta,) = yield from client._gmalloc_once([64], [req_id])
         return meta.gaddr
 
     (replayed,) = pool.run(after(sim))
