@@ -819,17 +819,17 @@ class ChaosSoak:
 
         # --- Round 2: heal mid-failover -------------------------------
         cur = pool.master
-        failovers_before = cur.failovers.count
+        term_before = cur.term
         plan = FaultPlan.heal_mid_failover(
             at_ns=sim.now + 10_000, others=others(cur.node.name),
             master=cur.node.name, partition_ns=3 * lease,
             crash_after_ns=lease // 2, recover_after_ns=lease, rebuild=True)
         self._nemesis_round(plan, [], keys, rounds,
                             tail_ns=2 * lease, tag="healmid")
-        if cur.failovers.count <= failovers_before:
+        if cur.term <= term_before:
             self.violations.append(
-                "nemesis: recovery started mid-partition never completed "
-                "a failover after the heal")
+                "nemesis: recovery started mid-partition never claimed a "
+                "higher term after the heal")
 
         # --- Round 3: asymmetric control-plane split ------------------
         cur = pool.master

@@ -47,7 +47,6 @@ from repro.core.errors import (
     NotMyShard,
     PartitionSuspected,
     RetryableError,
-    RingSaturatedError,
     ServerUnavailableError,
     StaleRingError,
     StaleTermError,
@@ -87,7 +86,6 @@ __all__ = [
     "RetryableError",
     "ServerUnavailableError",
     "MasterUnavailableError",
-    "RingSaturatedError",
     "StaleRingError",
     "FencedError",
     "DeadlineExceededError",
@@ -163,6 +161,9 @@ _SCRATCH_SLOTS = 16
 _SCRATCH_SLOT_SIZE = 256 * 1024
 #: Retries after self-verification failures before declaring thrash.
 _MAX_META_RETRIES = 4
+#: History event kinds whose failure is a definite no-op (recorded ``fail``);
+#: any other failed event may still take effect later (recorded ``info``).
+_DEFINITE_FAILURES = frozenset(("read", "lock", "unlock"))
 #: Consecutive master transport failures before the client's verdict
 #: upgrades from "one lost RPC" to "the path to the master is partitioned".
 _SUSPECT_STREAK = 3
@@ -753,7 +754,8 @@ class GengarClient:
         """Free a pool object.  Outstanding writes are synced first."""
         self._require_attached()
         if gaddr in self._overlay:
-            yield from self._gsync_traced(server_id=self._overlay[gaddr].server_id)
+            sid = self._overlay[gaddr].server_id
+            yield from self._run("gsync", lambda op: self._gsync_once(sid, op))
         req_id = self._next_req_id()
         yield from self._resilient(
             "gfree", lambda: self._master_call(
@@ -773,37 +775,10 @@ class GengarClient:
         ``max_attempts``, optionally re-attaching automatically; a deadline
         turns an unbounded stall into :class:`DeadlineExceededError`.
         """
-        hist = self.sim.history
-        if hist is not None:
-            tok = hist.invoke(self.name, "read", gaddr,
-                              offset=offset, length=length)
-            try:
-                data = yield from self._gread_traced(gaddr, offset, length)
-            except BaseException as exc:
-                # Reads have no effect: a failed read is a definite no-op.
-                hist.fail(tok, exc)
-                raise
-            hist.ok(tok, value=hist.encode(data))
-            return data
-        data = yield from self._gread_traced(gaddr, offset, length)
-        return data
-
-    def _gread_traced(self, gaddr: int, offset: int = 0,
-                      length: Optional[int] = None) -> Generator[Any, Any, bytes]:
-        rec = self.sim.spans
-        if rec is None:
-            data = yield from self._resilient(
-                "gread", lambda: self._gread_once(gaddr, offset, length))
-            return data
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            data = yield from self._resilient(
-                "gread", lambda: self._gread_once(gaddr, offset, length, op),
-                span_op=op)
-            return data
-        finally:
-            rec.record(self.name, "op.gread", t0, op=op, gaddr=hex(gaddr))
+        return (yield from self._run(
+            "gread", lambda op: self._gread_once(gaddr, offset, length, op),
+            lambda h: [("read", gaddr, {"offset": offset, "length": length})],
+            gaddr=hex(gaddr)))
 
     def _gread_once(self, gaddr: int, offset: int = 0,
                     length: Optional[int] = None,
@@ -831,7 +806,8 @@ class GengarClient:
                 lo = offset - pending.offset
                 return pending.data[lo : lo + length]
             # Partial overlap: force the write down before reading remotely.
-            yield from self._gsync_traced(server_id=pending.server_id)
+            sid = pending.server_id
+            yield from self._run("gsync", lambda op: self._gsync_once(sid, op))
 
         data = yield from self._remote_read(gaddr, meta, offset, length,
                                             span_op=span_op)
@@ -846,39 +822,12 @@ class GengarClient:
         write whose proxy ring is unavailable or stalled falls back to the
         direct-to-NVM path instead of blocking.
         """
-        hist = self.sim.history
-        if hist is not None:
-            tok = hist.invoke(self.name, "write", gaddr,
-                              value=hist.encode(data), offset=offset,
-                              length=len(data))
-            try:
-                yield from self._gwrite_traced(gaddr, data, offset)
-            except BaseException as exc:
-                # A failed write is *indeterminate*: an abandoned attempt
-                # (deadline, crash) may still land later.  The checker must
-                # treat it as possibly-applied, so record info, not fail.
-                hist.info(tok, exc)
-                raise
-            hist.ok(tok)
-            return
-        yield from self._gwrite_traced(gaddr, data, offset)
-
-    def _gwrite_traced(self, gaddr: int, data: bytes,
-                       offset: int = 0) -> Generator[Any, Any, None]:
-        rec = self.sim.spans
-        if rec is None:
-            yield from self._resilient(
-                "gwrite", lambda: self._gwrite_once(gaddr, data, offset))
-            return
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            yield from self._resilient(
-                "gwrite", lambda: self._gwrite_once(gaddr, data, offset, op),
-                span_op=op)
-        finally:
-            rec.record(self.name, "op.gwrite", t0, op=op, gaddr=hex(gaddr),
-                       bytes=len(data))
+        yield from self._run(
+            "gwrite", lambda op: self._gwrite_once(gaddr, data, offset, op),
+            lambda h: [("write", gaddr, {"value": h.encode(data),
+                                         "offset": offset,
+                                         "length": len(data)})],
+            gaddr=hex(gaddr), bytes=len(data))
 
     def _gwrite_once(self, gaddr: int, data: bytes, offset: int = 0,
                      span_op: int = 0) -> Generator[Any, Any, None]:
@@ -937,32 +886,9 @@ class GengarClient:
         staged writes are recorded in :attr:`fault_log` and the sync
         trivially completes).
         """
-        hist = self.sim.history
-        if hist is not None:
-            tok = hist.invoke(self.name, "sync", None, server=server_id)
-            try:
-                yield from self._gsync_traced(server_id)
-            except BaseException as exc:
-                hist.info(tok, exc)  # staged writes may have drained anyway
-                raise
-            hist.ok(tok)
-            return
-        yield from self._gsync_traced(server_id)
-
-    def _gsync_traced(
-            self, server_id: Optional[int] = None) -> Generator[Any, Any, None]:
-        rec = self.sim.spans
-        if rec is None:
-            yield from self._resilient(
-                "gsync", lambda: self._gsync_once(server_id))
-            return
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            yield from self._resilient(
-                "gsync", lambda: self._gsync_once(server_id, op), span_op=op)
-        finally:
-            rec.record(self.name, "op.gsync", t0, op=op)
+        yield from self._run(
+            "gsync", lambda op: self._gsync_once(server_id, op),
+            lambda h: [("sync", None, {"server": server_id})])
 
     def _gsync_once(self, server_id: Optional[int] = None,
                     span_op: int = 0) -> Generator[Any, Any, None]:
@@ -1195,12 +1121,73 @@ class GengarClient:
         self.m_lease_renewals.add()
 
     # ------------------------------------------------------------------
-    # Resilience engine: retries, deadlines, auto-reattach
+    # Op pipeline and resilience engine: history, spans, retries,
+    # deadlines, auto-reattach
     # ------------------------------------------------------------------
     def _jitter_rng(self):
         if self._retry_rng is None:
             self._retry_rng = self.sim.rng.stream(f"{self.name}.retry")
         return self._retry_rng
+
+    def _run(self, name: str, attempt, events=None, *, retry: bool = True,
+             **fields) -> Generator[Any, Any, Any]:
+        """The op pipeline every public op runs through, exactly once.
+
+        ``attempt(span_op)`` returns the generator of one attempt; with
+        ``retry`` the attempts run under the :class:`RetryPolicy`.  With a
+        span recorder installed the op mints a correlation id and records
+        one ``op.<name>`` span carrying ``fields``.
+
+        ``events`` (public calls only; nested calls omit it) maps the
+        history recorder to the op's events, one ``(kind, key, kwargs)``
+        per object; a batch's events share its time window, which is
+        conservative (wider windows admit more linearizations) but sound.
+        Each completes ``ok`` (a read with the bytes it
+        returned, a lock op with the fencing epoch) or, on failure,
+        ``fail`` for reads and lock ops, which are definite no-ops, and
+        ``info`` for writes and syncs: an abandoned attempt may still land,
+        so the checker must treat it as possibly applied.
+        """
+        hist = self.sim.history if events is not None else None
+        if hist is not None:
+            events = events(hist)
+            toks = [hist.invoke(self.name, kind, key, **kw)
+                    for kind, key, kw in events]
+        rec = self.sim.spans
+        op = 0
+        if rec is not None:
+            t0 = self.sim.now
+            op = rec.next_op()
+        try:
+            if retry:
+                result = yield from self._resilient(
+                    name, lambda: attempt(op), span_op=op)
+            else:
+                result = yield from attempt(op)
+        except BaseException as exc:
+            if hist is not None:
+                for (kind, _key, _kw), tok in zip(events, toks):
+                    if kind in _DEFINITE_FAILURES:
+                        hist.fail(tok, exc)
+                    else:
+                        hist.info(tok, exc)
+            raise
+        finally:
+            if rec is not None:
+                rec.record(self.name, "op." + name, t0, op=op, **fields)
+        if hist is not None:
+            # gread_many returns one value per event; every other op, one
+            # value (or None) shared by all of its events.
+            outs = (result if isinstance(result, list)
+                    else [result] * len(events))
+            for (kind, _key, _kw), tok, out in zip(events, toks, outs):
+                if kind == "read":
+                    hist.ok(tok, value=hist.encode(out))
+                elif kind in ("lock", "unlock"):
+                    hist.ok(tok, value=self.fence_epoch)
+                else:
+                    hist.ok(tok)
+        return result
 
     def _resilient(self, op: str, attempt_factory,
                    span_op: int = 0) -> Generator[Any, Any, Any]:
@@ -1441,37 +1428,10 @@ class GengarClient:
         propagates.
         """
         gaddrs = list(gaddrs)
-        hist = self.sim.history
-        if hist is not None:
-            # One event per object, all sharing the batch's time window —
-            # conservative (wider windows admit more linearizations) but
-            # sound.
-            toks = [hist.invoke(self.name, "read", g) for g in gaddrs]
-            try:
-                results = yield from self._gread_many_traced(gaddrs)
-            except BaseException as exc:
-                for tok in toks:
-                    hist.fail(tok, exc)
-                raise
-            for tok, data in zip(toks, results):
-                hist.ok(tok, value=hist.encode(data))
-            return results
-        results = yield from self._gread_many_traced(gaddrs)
-        return results
-
-    def _gread_many_traced(self, gaddrs) -> Generator[Any, Any, list]:
-        rec = self.sim.spans
-        if rec is None:
-            results = yield from self._gread_many_once(gaddrs)
-            return results
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            results = yield from self._gread_many_once(gaddrs, span_op=op)
-            return results
-        finally:
-            rec.record(self.name, "op.gread_many", t0, op=op,
-                       reads=len(gaddrs))
+        return (yield from self._run(
+            "gread_many", lambda op: self._gread_many_once(gaddrs, op),
+            lambda h: [("read", g, {}) for g in gaddrs],
+            retry=False, reads=len(gaddrs)))
 
     def _gread_many_once(self, gaddrs,
                          span_op: int = 0) -> Generator[Any, Any, list]:
@@ -1619,8 +1579,11 @@ class GengarClient:
 
         failures: list = []
         for idx in sorted(fallback):
+            gaddr = gaddrs[idx]
             try:
-                results[idx] = yield from self._gread_traced(gaddrs[idx])
+                results[idx] = yield from self._run(
+                    "gread", lambda op: self._gread_once(gaddr, span_op=op),
+                    gaddr=hex(gaddr))
             except ClientError as exc:
                 failures.append((idx, exc))
         if failures:
@@ -1765,35 +1728,12 @@ class GengarClient:
         the inline proxy path (proxy disabled, payload too large for a ring
         slot or for NIC inlining) fall back to the regular gwrite path.
         """
-        hist = self.sim.history
-        if hist is not None:
-            writes = list(writes)
-            toks = [hist.invoke(self.name, "write", g, value=hist.encode(d),
-                                length=len(d))
-                    for g, d in writes]
-            try:
-                yield from self._gwrite_batch_traced(writes)
-            except BaseException as exc:
-                for tok in toks:
-                    hist.info(tok, exc)  # indeterminate: some may have landed
-                raise
-            for tok in toks:
-                hist.ok(tok)
-            return
-        yield from self._gwrite_batch_traced(writes)
-
-    def _gwrite_batch_traced(self, writes) -> Generator[Any, Any, None]:
-        rec = self.sim.spans
-        if rec is None:
-            yield from self._gwrite_batch_once(writes)
-            return
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            yield from self._gwrite_batch_once(writes, span_op=op)
-        finally:
-            rec.record(self.name, "op.gwrite_batch", t0, op=op,
-                       writes=len(writes))
+        writes = list(writes)
+        yield from self._run(
+            "gwrite_batch", lambda op: self._gwrite_batch_once(writes, op),
+            lambda h: [("write", g, {"value": h.encode(d), "length": len(d)})
+                       for g, d in writes],
+            retry=False, writes=len(writes))
 
     def _gwrite_batch_once(self, writes,
                            span_op: int = 0) -> Generator[Any, Any, None]:
@@ -1886,61 +1826,33 @@ class GengarClient:
             rec.record(self.name, "phase.batch_stage", t_stage, op=span_op,
                        servers=len(staged), staged=len(pending))
         for gaddr, data in fallback:
-            yield from self._gwrite_traced(gaddr, data)
+            yield from self._run(
+                "gwrite", lambda op: self._gwrite_once(gaddr, data, 0, op),
+                gaddr=hex(gaddr), bytes=len(data))
 
     # Lock API (delegates to the consistency layer) ----------------------
     def glock(self, gaddr: int, write: bool = True) -> Generator[Any, Any, None]:
         """Acquire the object's lock (exclusive by default, shared if not)."""
-        hist = self.sim.history
-        tok = -1
-        if hist is not None:
+        locks = self.locks
+        acquire = locks.acquire_write if write else locks.acquire_read
+        yield from self._run(
+            "glock", lambda op: acquire(gaddr),
             # The epoch rides the event: the checker's monotonic-epoch model
             # asserts no lock is ever acquired under an epoch below one a
             # later holder already presented (a fenced zombie re-locking).
-            tok = hist.invoke(self.name, "lock", gaddr, write=write,
-                              epoch=self.fence_epoch)
-        rec = self.sim.spans
-        t0 = self.sim.now if rec is not None else 0
-        try:
-            if write:
-                yield from self.locks.acquire_write(gaddr)
-            else:
-                yield from self.locks.acquire_read(gaddr)
-        except BaseException as exc:
-            if hist is not None:
-                hist.fail(tok, exc)  # an acquire that failed holds nothing
-            raise
-        finally:
-            if rec is not None:
-                rec.record(self.name, "op.glock", t0, op=rec.next_op(),
-                           gaddr=hex(gaddr), write=write)
-        if hist is not None:
-            hist.ok(tok, value=self.fence_epoch)
+            lambda h: [("lock", gaddr, {"write": write,
+                                      "epoch": self.fence_epoch})],
+            retry=False, gaddr=hex(gaddr), write=write)
 
     def gunlock(self, gaddr: int, write: bool = True) -> Generator[Any, Any, None]:
         """Release the object's lock.  Write unlocks sync first."""
-        hist = self.sim.history
-        tok = -1
-        if hist is not None:
-            tok = hist.invoke(self.name, "unlock", gaddr, write=write,
-                              epoch=self.fence_epoch)
-        rec = self.sim.spans
-        t0 = self.sim.now if rec is not None else 0
-        try:
-            if write:
-                yield from self.locks.release_write(gaddr)
-            else:
-                yield from self.locks.release_read(gaddr)
-        except BaseException as exc:
-            if hist is not None:
-                hist.fail(tok, exc)
-            raise
-        finally:
-            if rec is not None:
-                rec.record(self.name, "op.gunlock", t0, op=rec.next_op(),
-                           gaddr=hex(gaddr), write=write)
-        if hist is not None:
-            hist.ok(tok, value=self.fence_epoch)
+        locks = self.locks
+        release = locks.release_write if write else locks.release_read
+        yield from self._run(
+            "gunlock", lambda op: release(gaddr),
+            lambda h: [("unlock", gaddr, {"write": write,
+                                        "epoch": self.fence_epoch})],
+            retry=False, gaddr=hex(gaddr), write=write)
 
     # Transactions (delegates to repro.txn) ------------------------------
     @property

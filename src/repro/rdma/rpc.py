@@ -9,15 +9,16 @@ management, and concurrent outstanding calls matched by request id.
 Payloads are serialized to real bytes and travel through the verbs layer, so
 RPC cost scales with message size exactly as it would on the wire.
 
-Scalability (PROTOCOLS.md §12): the server-side rings are *elastic* — an
-SRQ-style shared receive pool.  All client QPs draw their posted receives
-from one slot pool that grows in powers of two as peers attach (and under
-occupancy pressure on the response side), and shrinks again after idle
-epochs.  Credit-based flow control rides the reply envelope's immediate
-data: the server piggybacks a receive-credit grant on every response, and
-clients block new sends at zero credits instead of silently overrunning the
-ring.  Both mechanisms are pay-as-you-go — a fixed-size ring with credits
-off executes the exact legacy event sequence.
+Scalability (PROTOCOLS.md §12): a server given a ``grow_cb`` makes its
+rings *elastic* — an SRQ-style shared receive pool.  All client QPs draw
+their posted receives from one slot pool that grows in powers of two as
+peers attach (and under occupancy pressure on the response side), and
+shrinks again after idle epochs.  Credit-based flow control rides the reply
+envelope's immediate data: the server piggybacks a receive-credit grant on
+every response, and clients block new sends at zero credits instead of
+silently overrunning the ring.  Both are pay-as-you-go: a pool that never
+sees more peers than its initial depth does no growth work, and a call with
+credits available creates no extra event.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ def _req_ids_for(sim):
 #: bulk data clearly does not belong on this path.
 DEFAULT_BUFFER_SIZE = 4096
 
-#: Default ring depth — the single source of truth for the historical 16-slot
-#: rings (GengarConfig derives both server and client sizing from this, so
-#: the two sides can never silently disagree).
+#: Initial ring depth of every RPC endpoint, server and client alike, and so
+#: each client's credit window.
 DEFAULT_RING_SLOTS = 16
 
 #: Hard ceiling on elastic growth: a runaway producer can at most double a
@@ -80,13 +80,13 @@ def _encode(obj: Any, limit: int) -> bytes:
 class _BufferRing:
     """A pool of fixed-size slots across one or more registered regions.
 
-    Chunk 0 occupies the caller-provided window at ``base`` (the legacy
-    layout).  When a ``grow_cb`` is supplied the ring is *elastic*: growth
-    carves a new power-of-two chunk through the callback and registers it as
-    an additional MR; shrink retires the newest chunk once it has sat fully
+    Chunk 0 occupies the caller-provided window at ``base``.  When a
+    ``grow_cb`` is supplied the ring is *elastic*: growth carves a new
+    power-of-two chunk through the callback and registers it as an
+    additional MR; shrink retires the newest chunk once it has sat fully
     idle past the idle epoch, deregistering its MR and parking the span for
-    reuse.  Without a ``grow_cb`` every elastic branch collapses to a pure
-    comparison and the ring behaves exactly like the historical fixed ring.
+    reuse.  Without a ``grow_cb`` the ring is fixed, as every client-side
+    ring is by design.
     """
 
     def __init__(self, endpoint: RdmaEndpoint, device: "MemoryDevice", base: int,
@@ -290,9 +290,9 @@ class RpcServer:
     itself needs simulated time (e.g. touching a memory device).
 
     With a ``grow_cb`` the receive/response rings form an elastic shared
-    pool sized by the attached-QP count (see :class:`_BufferRing`); with
-    ``credits=True`` every reply's immediate data carries a receive-credit
-    grant for the calling client.
+    pool sized by the attached-QP count (see :class:`_BufferRing`).  Every
+    reply's immediate data carries a receive-credit grant for the calling
+    client.
     """
 
     def __init__(
@@ -304,7 +304,6 @@ class RpcServer:
         buffer_size: int = DEFAULT_BUFFER_SIZE,
         name: str = "",
         grow_cb: Optional[Callable[[int], int]] = None,
-        credits: bool = False,
         max_slots: int = DEFAULT_MAX_RING_SLOTS,
         shrink_idle_ns: int = DEFAULT_SHRINK_IDLE_NS,
     ):
@@ -321,7 +320,6 @@ class RpcServer:
                                       f"{self.name}.tx", grow_cb=grow_cb,
                                       max_slots=max_slots, shrink_idle_ns=shrink_idle_ns)
         self.buffer_size = buffer_size
-        self.credits = credits
         self._qps: List[QueuePair] = []
         self._peer_qps: Dict[str, QueuePair] = {}
         self._qp_state: Dict[QueuePair, str] = {}  # "live" | "parking" | "parked"
@@ -360,17 +358,6 @@ class RpcServer:
             self._resp_ring.ensure_capacity(needed)
         self.sim.spawn(self._serve_loop(qp), name=f"{self.name}.loop")
 
-    def would_overcommit(self) -> bool:
-        """True if admitting one more QP would exceed a *fixed* receive pool.
-
-        Elastic pools never overcommit (``serve`` grows them ahead of the
-        QP count); a fixed pool with every slot claimed by an attached QP
-        would wedge under concurrent load, so callers should reject the
-        attach instead (see ``repro.core.errors.RingSaturatedError``).
-        """
-        ring = self._recv_ring
-        return (not ring.elastic) and len(self._qps) + 1 > ring.capacity
-
     def reclaim_peer(self, peer: str) -> bool:
         """Return a dead peer's posted receive slot to the shared pool.
 
@@ -405,10 +392,8 @@ class RpcServer:
             "tx_outstanding": self._resp_ring.outstanding(),
         }
 
-    def _credit_grant(self) -> Optional[int]:
-        """Per-reply receive-credit grant (None keeps imm_data empty)."""
-        if not self.credits:
-            return None
+    def _credit_grant(self) -> int:
+        """Per-reply receive-credit grant for the calling client."""
         grant = self._recv_ring.capacity // (len(self._qps) or 1)
         initial = self._recv_ring.initial_slots
         return grant if grant > initial else initial
@@ -488,10 +473,9 @@ class RpcClient:
     """Issues calls to one :class:`RpcServer` over a connected QP.
 
     Supports multiple outstanding calls; responses are demultiplexed by
-    request id so concurrent client processes can share one instance.  With
-    ``credits=True`` a call first takes a receive credit (granted back by
-    the server on every reply) and parks at zero instead of overrunning the
-    server's pool.
+    request id so concurrent client processes can share one instance.  A
+    call first takes a receive credit (granted back by the server on every
+    reply) and parks at zero instead of overrunning the server's pool.
     """
 
     def __init__(
@@ -503,7 +487,6 @@ class RpcClient:
         num_buffers: int = DEFAULT_RING_SLOTS,
         buffer_size: int = DEFAULT_BUFFER_SIZE,
         name: str = "",
-        credits: bool = False,
     ):
         self.sim = endpoint.sim
         self.endpoint = endpoint
@@ -513,18 +496,15 @@ class RpcClient:
         span = num_buffers * buffer_size
         self._recv_ring = _BufferRing(endpoint, device, base, num_buffers, buffer_size, f"{self.name}.rx")
         self._send_ring = _BufferRing(endpoint, device, base + span, num_buffers, buffer_size, f"{self.name}.tx")
-        self._credits = _CreditGate(self.sim, num_buffers, f"{self.name}.credit") \
-            if credits else None
+        self._credits = _CreditGate(self.sim, num_buffers, f"{self.name}.credit")
         self._pending: Dict[int, Event] = {}
         self._demux_running = False
         # Precomputed: every call creates one reply event.
         self._reply_event_name = f"{self.name}.req"
 
-    def credit_stats(self) -> Optional[dict]:
-        """Flow-control snapshot, or None when credits are off."""
+    def credit_stats(self) -> dict:
+        """Flow-control snapshot."""
         gate = self._credits
-        if gate is None:
-            return None
         return {"window": gate.window, "available": gate.available,
                 "stalls": gate.stalls, "waiters": len(gate._waiters)}
 
@@ -540,10 +520,9 @@ class RpcClient:
         # Admission: take a receive credit first, parking at zero (pure
         # decrement while credits are available).
         gate = self._credits
-        if gate is not None:
-            stall = gate.take()
-            if stall is not None:
-                yield stall
+        stall = gate.take()
+        if stall is not None:
+            yield stall
 
         # Post a reply buffer *before* sending, so the response can never
         # find the receive queue empty.
@@ -579,8 +558,7 @@ class RpcClient:
                 self._recv_ring.free.put(recv_slot)
             # Likewise hand the credit back: the server never saw the send,
             # so no reply will ever return it.
-            if gate is not None:
-                gate.refund()
+            gate.refund()
             raise RpcError(f"rpc transport failed: {send_wc.status.value}")
 
         status, result = yield reply_event
@@ -595,9 +573,7 @@ class RpcClient:
                 continue
             raw = self._recv_ring.mr.peek(wc.recv_offset, wc.byte_len)
             self._recv_ring.free.put(wc.wr_id)
-            gate = self._credits
-            if gate is not None:
-                gate.on_reply(wc.imm_data)
+            self._credits.on_reply(wc.imm_data)
             req_id, reply = pickle.loads(raw)
             waiter = self._pending.pop(req_id, None)
             if waiter is not None and not waiter.triggered:

@@ -28,7 +28,6 @@ from repro.sim.primitives import (
 from repro.sim.resources import FifoChannel, Resource, Store, TokenBucket
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import Counter, Histogram, MetricRegistry, TimeWeightedStat
-from repro.sim.sync import Barrier, Mutex, Semaphore
 from repro.sim.trace import TraceEvent, Tracer, trace
 from repro.sim.units import KIB, MIB, GIB, US, MS, SEC, gbps_to_bytes_per_ns
 
@@ -46,9 +45,6 @@ __all__ = [
     "FifoChannel",
     "TokenBucket",
     "RngRegistry",
-    "Barrier",
-    "Semaphore",
-    "Mutex",
     "Tracer",
     "TraceEvent",
     "trace",

@@ -121,7 +121,9 @@ class Transaction:
             # constraint, so it is deliberately not recorded.
             return bytes(buffered)
         client = self.manager.client
-        data = yield from client._gread_traced(gaddr, offset, length)
+        data = yield from client._run(
+            "gread", lambda op: client._gread_once(gaddr, offset, length, op),
+            gaddr=hex(gaddr))
         hist = client.sim.history
         if hist is not None:
             tok = hist.invoke(client.name, "txn_read", gaddr, txn=self.id,

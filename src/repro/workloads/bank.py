@@ -91,12 +91,16 @@ def bank_read_balances(client,
                        gaddrs: Sequence[int]) -> Generator[Any, Any, Dict[int, int]]:
     """Read every balance outside any transaction (audit helper).
 
-    Uses the untraced read path so the audit itself doesn't pollute a
-    recorded history with single-register reads of txn-managed keys.
+    Reads through the client's op pipeline without history events, so
+    the audit itself doesn't pollute a recorded history with
+    single-register reads of txn-managed keys.
     """
     balances: Dict[int, int] = {}
     for gaddr in gaddrs:
-        raw = yield from client._gread_traced(gaddr, 0, BALANCE_BYTES)
+        raw = yield from client._run(
+            "gread",
+            lambda op: client._gread_once(gaddr, 0, BALANCE_BYTES, op),
+            gaddr=hex(gaddr))
         balances[gaddr] = decode_balance(raw)
     return balances
 

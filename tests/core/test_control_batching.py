@@ -229,7 +229,7 @@ def test_a_freed_item_falls_back_to_serial_gread_alone():
     pool.run(owner.gfree(freed))
 
     serial = []
-    orig = type(reader)._gread_traced
+    orig = type(reader)._gread_once
 
     def spy(client, gaddr, *args, **kw):
         serial.append(gaddr)
@@ -242,7 +242,7 @@ def test_a_freed_item_falls_back_to_serial_gread_alone():
             return str(exc)
         return None
 
-    reader._gread_traced = spy.__get__(reader)
+    reader._gread_once = spy.__get__(reader)
     with rpc_calls() as methods:
         (err,) = pool.run(read(sim))
     assert err is not None and "unknown object" in err
@@ -262,7 +262,7 @@ def test_a_resharded_item_falls_back_to_serial_gread_alone():
     pool.reshard(1, 0)  # behind the reader's back: its map still says 1
 
     serial = []
-    orig = type(reader)._gread_traced
+    orig = type(reader)._gread_once
 
     def spy(client, gaddr, *args, **kw):
         serial.append(gaddr)
@@ -272,7 +272,7 @@ def test_a_resharded_item_falls_back_to_serial_gread_alone():
         data = yield from reader.gread_many(gaddrs)
         return data
 
-    reader._gread_traced = spy.__get__(reader)
+    reader._gread_once = spy.__get__(reader)
     (data,) = pool.run(read(sim))
     assert data == [bytes([i + 1]) * 256 for i in range(4)]
     assert sorted(serial) == sorted(moved)

@@ -169,6 +169,33 @@ def test_promotion_keeps_the_pool_serving():
     assert parts["term_claims"] == 1  # one recovery, one claim
 
 
+def test_promotion_retargets_shard_zero_faults_at_the_new_master():
+    """Regression: promotion must move ``masters[0]`` along with
+    ``master``.  Fault injectors address shard 0 through ``pool.masters``,
+    so a stale entry made a later MasterCrash hit the deposed incumbent
+    (whose recovery then claimed a term and deposed the live master)."""
+    sim, pool = build_pool(num_servers=2, num_clients=1,
+                           config=partition_config(), standby_master=True)
+    old = pool.master
+
+    def drive(sim):
+        yield from wait_promoted(sim, pool)
+
+    pool.run(drive(sim))
+    new = pool.master
+    assert new is not old and new.node.name == "master1"
+    assert pool.masters[0] is pool.master
+    inj = pool.inject_faults(FaultPlan.of(MasterCrash(at_ns=sim.now + 1_000)))
+
+    def wait(sim):
+        yield sim.timeout(2_000)
+
+    pool.run(wait(sim))
+    inj.uninstall()
+    assert new.crashes == 1 and not new.node.endpoint.alive
+    assert old.crashes == 0 and old.node.endpoint.alive
+
+
 # ----------------------------------------------------------------------
 # Degraded mode under an asymmetric partition
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ from repro.obs.spans import SpanRecorder
 from repro.sim import Simulator
 from repro.workloads.ycsb import WORKLOAD_B
 
+from tests.core.conftest import build_pool
+
 
 # ----------------------------------------------------------------------
 # Recorder unit behaviour
@@ -100,6 +102,46 @@ def test_install_honors_kill_switch(monkeypatch):
     monkeypatch.setattr("repro.obs.spans.ENABLED", True)
     rec = obs.install(sim)
     assert rec is not None and sim.spans is rec
+
+
+# ----------------------------------------------------------------------
+# One op span per public call
+# ----------------------------------------------------------------------
+def test_each_public_op_records_exactly_one_op_span():
+    sim, pool = build_pool(num_servers=2, num_clients=1)
+    client = pool.clients[0]
+
+    def setup(sim):
+        return (yield from client.gmalloc_many([64, 64]))
+
+    ((a, b),) = pool.run(setup(sim))
+    recorder = obs.install(sim)
+
+    def work(sim):
+        yield from client.gwrite(a, b"w" * 64)
+        yield from client.gread(a)
+        yield from client.gwrite_batch([(a, b"x" * 32), (b, b"y" * 32)])
+        yield from client.gsync()
+        yield from client.gread_many([a, b])
+        yield from client.glock(a, write=False)
+        yield from client.gunlock(a, write=False)
+
+    pool.run(work(sim))
+    ops = {s.name: s for s in recorder.spans if s.name.startswith("op.")}
+    assert {name: 1 for name in ops} == {
+        name: count for name, count in recorder.names().items()
+        if name.startswith("op.")}
+    assert {name: span.fields for name, span in ops.items()} == {
+        "op.gwrite": {"gaddr": hex(a), "bytes": 64},
+        "op.gread": {"gaddr": hex(a)},
+        "op.gwrite_batch": {"writes": 2},
+        "op.gsync": None,
+        "op.gread_many": {"reads": 2},
+        "op.glock": {"gaddr": hex(a), "write": False},
+        "op.gunlock": {"gaddr": hex(a), "write": False},
+    }
+    # Every op minted its own correlation id.
+    assert len({span.op for span in ops.values()}) == len(ops)
 
 
 # ----------------------------------------------------------------------

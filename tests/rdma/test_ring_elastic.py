@@ -8,12 +8,8 @@ Covers the PROTOCOLS.md §12 mechanisms at three levels:
   QPs attach, zero-credit backpressure, crash-mid-credit reclamation and
   re-attach over the same QP;
 * the pinned scale regressions — the historical >=16-client wedge must
-  stay fixed (structurally, capacity always exceeds the QP count), and a
-  fixed-depth pool must fail the overcommitting attach with a typed
-  error instead of wedging later.
+  stay fixed (structurally, capacity always exceeds the QP count).
 """
-
-import pytest
 
 from repro.rdma import connect
 from repro.rdma.rpc import RpcClient, RpcServer, _BufferRing, _CreditGate
@@ -168,7 +164,7 @@ def test_server_pool_grows_with_attached_qps(rig):
 
 def test_zero_credit_backpressure_bounds_outstanding(rig):
     server = RpcServer(rig.ep_b, rig.mem_b, base=0, num_buffers=4,
-                       buffer_size=512, credits=True)
+                       buffer_size=512)
     inflight = {"now": 0, "max": 0}
 
     def slow(req):
@@ -181,7 +177,7 @@ def test_zero_credit_backpressure_bounds_outstanding(rig):
     server.register("slow", slow)
     server.serve(rig.qp_b, peer="c0")
     client = RpcClient(rig.ep_a, rig.qp_a, rig.mem_a, base=0, num_buffers=4,
-                       buffer_size=512, credits=True)
+                       buffer_size=512)
     results = []
 
     def caller(i):
@@ -202,11 +198,11 @@ def test_zero_credit_backpressure_bounds_outstanding(rig):
 
 def test_reclaim_parks_loop_and_reattach_resumes(rig):
     server = RpcServer(rig.ep_b, rig.mem_b, base=0, num_buffers=4,
-                       buffer_size=512, credits=True)
+                       buffer_size=512)
     server.register("echo", lambda req: req)
     server.serve(rig.qp_b, peer="c0")
     client = RpcClient(rig.ep_a, rig.qp_a, rig.mem_a, base=0, num_buffers=4,
-                       buffer_size=512, credits=True)
+                       buffer_size=512)
 
     def proc(sim):
         assert (yield from client.call("echo", 1)) == 1
@@ -268,17 +264,3 @@ def test_concurrent_32_client_ycsb_completes():
     # No slot leak: after quiesce each live serve loop holds exactly its
     # one posted receive.
     assert stats["outstanding"] == stats["qps"] - stats["parked"]
-
-
-def test_fixed_ring_overcommit_raises_typed_error():
-    from dataclasses import replace
-
-    from repro.baselines.common import build_system
-    from repro.core.errors import RingSaturatedError
-
-    sim = Simulator(seed=17)
-    with pytest.raises(RingSaturatedError):
-        build_system(
-            "gengar", sim, num_servers=2, num_clients=8,
-            config_overrides=lambda c: replace(c, rpc_ring_slots=4,
-                                               rpc_credits=False))
