@@ -33,7 +33,9 @@ Usage::
 microbenchmark and the medium YCSB run, compares against the committed
 file's ``current`` section, and exits non-zero if either the kernel's
 ``events_per_sec`` or ycsb_medium's ``sim_throughput_ops_s`` regressed
-more than 10%.  It never writes the JSON file.
+more than 10%, if a virtual pin drifted, or if the dispatched-event count
+of the rpc, doorbell, ycsb_small or ycsb_medium run differs at all.  It
+never writes the JSON file.
 
 ``__slots__`` note: the per-object bookkeeping types on the hot path
 (``Counter``, ``ObjectStats``, WRs, span tuples) all declare ``__slots__``.
@@ -143,9 +145,11 @@ def bench_ycsb(record_count: int, num_workers: int, ops_per_worker: int,
         runner = YcsbRunner(system, spec, num_workers=num_workers,
                             ops_per_worker=ops_per_worker)
         runner.load()
+        base = sim.total_dispatched
         t0 = time.perf_counter()
         result = runner.run()
         dt = time.perf_counter() - t0
+        events = sim.total_dispatched - base
         batches = sim.metrics.histogram("pool.read_batch")
         depth = (batches.snapshot()["mean"] if batches.count else 1.0)
         sample = {
@@ -155,6 +159,9 @@ def bench_ycsb(record_count: int, num_workers: int, ops_per_worker: int,
             "total_ops": result.total_ops,
             "seconds": dt,
             "ops_per_sec_wallclock": result.total_ops / dt if dt > 0 else 0.0,
+            # Host-independent: a count of the run phase's kernel dispatches.
+            "dispatched_events": events,
+            "events_per_op": round(events / result.total_ops, 2),
             # Virtual-side invariants: must not move under wall-clock-only work.
             "virtual_time_ns": sim.now,
             "sim_throughput_ops_s": result.throughput_ops_s,
@@ -164,7 +171,8 @@ def bench_ycsb(record_count: int, num_workers: int, ops_per_worker: int,
         }
         if best is not None:
             for key in ("virtual_time_ns", "sim_throughput_ops_s",
-                        "cache_hit_ratio", "read_pipeline_depth"):
+                        "cache_hit_ratio", "read_pipeline_depth",
+                        "dispatched_events"):
                 assert sample[key] == best[key], (
                     f"non-deterministic virtual metric {key}: "
                     f"{sample[key]} != {best[key]}")
@@ -632,8 +640,10 @@ def run_guard(guard_path: Path) -> int:
     figure when measured at the committed run shape.  The control-plane
     scale-out section is re-run at full shape too and checked exactly
     (virtual times per shard count, plus monotonic ops/s through 4 shards).
-    Exits 1 on a >10% regression of a guarded wall-clock metric or any
-    virtual-metric drift; never writes the JSON file.
+    The dispatched-event counts of the rpc, doorbell and both YCSB runs
+    are compared exactly as well.  Exits 1 on a >10% regression of a
+    guarded wall-clock metric, any virtual-metric drift or any event-count
+    drift; never writes the JSON file.
     """
     try:
         committed = json.loads(guard_path.read_text())
@@ -719,6 +729,27 @@ def run_guard(guard_path: Path) -> int:
               f"{[f'{v:,.0f}' for v in curve]} "
               f"{'MONOTONIC' if ok else 'NOT MONOTONIC'}")
         checks.append(ok)
+    # Event-count guard: dispatched events are a pure function of the
+    # simulation, not of the host, so each run shape's count is pinned
+    # exactly.  A change that brings back empty or grant dispatches (or
+    # adds new ones) fails here even on a noisy runner.
+    counted = (
+        ("rpc", lambda: bench_rpc(repeats=1)),
+        ("doorbell", lambda: bench_doorbell(repeats=1)),
+        ("ycsb_small", lambda: bench_ycsb(record_count=200, num_workers=4,
+                                          ops_per_worker=250)),
+        ("ycsb_medium", lambda: medium),
+    )
+    for section, run in counted:
+        want = (ref.get(section) or {}).get("dispatched_events")
+        if not want:
+            print(f"perf-guard: no committed event count for {section}; skipped")
+            continue
+        got = run()["dispatched_events"]
+        ok = got == want
+        print(f"perf-guard {section} dispatched_events: {got} vs committed "
+              f"{want} {'OK' if ok else 'EVENT-COUNT DRIFT'}")
+        checks.append(ok)
     print(f"perf-guard ycsb_medium cache_hit_ratio: "
           f"{medium['cache_hit_ratio']:.4f}, "
           f"read_pipeline_depth: {medium['read_pipeline_depth']}")
@@ -787,7 +818,8 @@ def main(argv=None) -> int:
     for scale in ("ycsb_small", "ycsb_medium"):
         if cur.get(scale):
             print(f"{scale}: {cur[scale]['ops_per_sec_wallclock']:,.1f} ops/s "
-                  f"wall-clock, virtual {cur[scale]['sim_throughput_ops_s']:,.0f} ops/s "
+                  f"wall-clock ({cur[scale]['events_per_op']} events/op), "
+                  f"virtual {cur[scale]['sim_throughput_ops_s']:,.0f} ops/s "
                   f"(x{spd[f'{scale}_ops_per_sec'] or 1.0} vs baseline), "
                   f"hit ratio {cur[scale]['cache_hit_ratio']:.4f}, "
                   f"pipeline depth {cur[scale]['read_pipeline_depth']}")

@@ -64,9 +64,7 @@ class Node:
         """Occupy one core for ``duration_ns`` (default: the per-op cost)."""
         if duration_ns is None:
             duration_ns = self.spec.cpu_op_ns
-        with (yield self._cpu.request()):
-            if duration_ns > 0:
-                yield self.sim.sleep(duration_ns)
+        yield from self._cpu.hold(duration_ns)
 
     @property
     def cpu_utilized(self) -> int:

@@ -557,7 +557,7 @@ class MemoryServer:
         """
         lock_idx = request["lock_idx"]
         yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate.request()):
+        with (yield from self.node.endpoint.atomic_gate.acquire()):
             prior = self.lock_mr.read_u64(lock_idx * 8)
             yield from self.lock_mr.write(lock_idx * 8, (0).to_bytes(8, "little"))
         return prior
@@ -579,7 +579,7 @@ class MemoryServer:
         lock_idx, owner = request["lock_idx"], request["owner"]
         epoch = request.get("epoch")
         yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate.request()):
+        with (yield from self.node.endpoint.atomic_gate.acquire()):
             word = self.lock_mr.read_u64(lock_idx * 8)
             if not (lock_is_write_locked(word) and lock_owner(word) == owner):
                 return False
@@ -605,7 +605,7 @@ class MemoryServer:
         lock_idx = request["lock_idx"]
         known = set(request["known"])
         yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate.request()):
+        with (yield from self.node.endpoint.atomic_gate.acquire()):
             word = self.lock_mr.read_u64(lock_idx * 8)
             if not lock_is_write_locked(word):
                 return 0

@@ -135,8 +135,7 @@ class MemoryDevice:
         start = self.sim.now
         self.queue_depth.adjust(+1)
         try:
-            with (yield self._channels.request()):
-                yield self.sim.sleep(self.read_service_time(nbytes))
+            yield from self._channels.hold(self.read_service_time(nbytes))
         finally:
             self.queue_depth.adjust(-1)
         self.bytes_read.add(nbytes)
@@ -150,8 +149,7 @@ class MemoryDevice:
         start = self.sim.now
         self.queue_depth.adjust(+1)
         try:
-            with (yield self._channels.request()):
-                yield self.sim.sleep(self.write_service_time(nbytes))
+            yield from self._channels.hold(self.write_service_time(nbytes))
         finally:
             self.queue_depth.adjust(-1)
         self._data.write(offset, payload)

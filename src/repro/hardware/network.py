@@ -186,25 +186,19 @@ class Fabric:
             up = self._core_up[self._rack_of[src]]
             down = self._core_down[self._rack_of[dst]]
             core_time = max(1, round(wire_bytes / self._core_bandwidth))
-            with (yield egress.gate.request()):
-                yield self.sim.sleep(self.wire_time(nbytes))
-                egress.bytes_moved += wire_bytes
-            with (yield up.gate.request()):
-                with (yield down.gate.request()):
-                    yield self.sim.sleep(core_time)
-                    up.bytes_moved += wire_bytes
-                    down.bytes_moved += wire_bytes
-            with (yield ingress.gate.request()):
-                yield self.sim.sleep(self.wire_time(nbytes))
-                ingress.bytes_moved += wire_bytes
+            yield from egress.gate.hold(self.wire_time(nbytes))
+            egress.bytes_moved += wire_bytes
+            yield from up.gate.hold(core_time, down.gate)
+            up.bytes_moved += wire_bytes
+            down.bytes_moved += wire_bytes
+            yield from ingress.gate.hold(self.wire_time(nbytes))
+            ingress.bytes_moved += wire_bytes
             yield self.sim.sleep(self.spec.propagation_ns + self._core_hop_ns + extra_ns)
             self.inter_rack_messages.add()
         else:
-            with (yield egress.gate.request()):
-                with (yield ingress.gate.request()):
-                    yield self.sim.sleep(self.wire_time(nbytes))
-                    egress.bytes_moved += wire_bytes
-                    ingress.bytes_moved += wire_bytes
+            yield from egress.gate.hold(self.wire_time(nbytes), ingress.gate)
+            egress.bytes_moved += wire_bytes
+            ingress.bytes_moved += wire_bytes
             yield self.sim.sleep(self.spec.propagation_ns + extra_ns)
         self.messages.add()
         self.payload_bytes.add(nbytes)

@@ -147,7 +147,8 @@ class QueuePair:
             raise QpError(f"{self.name} is not connected")
         self._validate_send(wr)
         done = self.sim.event(name=self._wr_event_name)
-        self.sim.spawn(self._execute(wr, done), name=self._exec_name)
+        self.sim.spawn(self._execute(wr, done), name=self._exec_name,
+                       joinable=False)
         return done
 
     def post_send_many(self, wrs) -> list[Event]:
@@ -172,10 +173,11 @@ class QueuePair:
         events: list[Event] = [sim.event(name=ev_name) for _ in wrs]
         # One kernel call arms every WR's verb process (batched doorbell);
         # bootstrap order — and thus virtual-time behaviour — is identical
-        # to spawning one at a time.
+        # to spawning one at a time.  Callers wait on the WR events, never
+        # on the processes, so their completions dispatch nothing.
         sim.spawn_many(
             [self._execute(wr, done) for wr, done in zip(wrs, events)],
-            name=self._exec_name,
+            name=self._exec_name, joinable=False,
         )
         return events
 
@@ -195,7 +197,7 @@ class QueuePair:
         # ---- Initiator phase: gather payload, inject into the fabric -----
         payload: bytes = b""
         request_wire_bytes = 0
-        with (yield self._send_gate.request()):
+        with (yield from self._send_gate.acquire()):
             yield from local.nic.tx_process()
             try:
                 payload = yield from self._gather_payload(wr)
@@ -338,7 +340,7 @@ class QueuePair:
             except MrError:
                 raise _RemoteFault(WcStatus.REMOTE_ACCESS_ERROR) from None
             # The target NIC serializes atomics; model with a per-endpoint gate.
-            with (yield remote_ep.atomic_gate.request()):
+            with (yield from remote_ep.atomic_gate.acquire()):
                 old_bytes = yield from mr.read(
                     wr.remote_offset, ATOMIC_OPERAND_BYTES, need=AccessFlags.REMOTE_ATOMIC
                 )

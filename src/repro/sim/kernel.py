@@ -118,9 +118,12 @@ class Process(Event):
     def _deliver_interrupt(self, cause: Any) -> None:
         if not self.is_alive:
             return
-        # Detach from whatever we were waiting on; the stale callback will
-        # notice _waiting_on no longer matches and do nothing.
-        self._waiting_on = None
+        # Detach from whatever we were waiting on, so a store getter can
+        # withdraw; a wake-up already queued notices _waiting_on no longer
+        # matches and does nothing.
+        waiting, self._waiting_on = self._waiting_on, None
+        if waiting is not None:
+            waiting._abandon(self._wake)
         self._step(Interrupt(cause), is_exception=True)
 
     # ------------------------------------------------------------------
@@ -202,6 +205,27 @@ class Process(Event):
             return
         self._waiting_on = target
         target.add_callback(self._wake)
+
+
+class _Unjoinable(Process):
+    """A process started with ``joinable=False``: its spawner keeps no
+    handle, so unless a waiter has already registered, finishing leaves it
+    triggered but unscheduled instead of dispatching an empty completion.
+    (A late join still works: the kernel's wait path schedules it then.)"""
+
+    __slots__ = ()
+
+    def succeed(self, value: Any = None) -> Event:
+        if self._cb1 is None and self._more is None:
+            self._value = value
+            return self
+        return Event.succeed(self, value)
+
+    def fail(self, exception: BaseException) -> Event:
+        if self._cb1 is None and self._more is None:
+            self._exception = exception
+            return self
+        return Event.fail(self, exception)
 
 
 class Simulator:
@@ -346,12 +370,20 @@ class Simulator:
         t._reuse(int(delay), value)
         return t
 
-    def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Start a new process from a generator; returns the joinable handle."""
-        return Process(self, generator, name=name)
+    def spawn(self, generator: ProcessGenerator, name: str = "",
+              joinable: bool = True) -> Process:
+        """Start a new process from a generator; returns its handle.
+
+        ``joinable=False`` is for fire-and-forget processes whose result
+        travels another way (a verb process completes its WR's own event):
+        their completion then costs no dispatch.
+        """
+        if joinable:
+            return Process(self, generator, name=name)
+        return _Unjoinable(self, generator, name=name)
 
     def spawn_many(self, generators: Sequence[ProcessGenerator],
-                   name: str = "") -> list:
+                   name: str = "", joinable: bool = True) -> list:
         """Start N processes with one kernel call (batched bootstrap arming).
 
         Identical to calling :meth:`spawn` per generator in order — each
@@ -360,7 +392,8 @@ class Simulator:
         doorbell-batch fast path: ``post_send_many`` arms one process per WR
         through here.
         """
-        procs = [Process(self, g, name=name, _defer=True) for g in generators]
+        cls = Process if joinable else _Unjoinable
+        procs = [cls(self, g, name=name, _defer=True) for g in generators]
         buckets = self._buckets
         t = self._now
         b = buckets.get(t)

@@ -168,10 +168,19 @@ class Event:
             self._scheduled = True
             self.sim.schedule(0, self._dispatch)
 
-    def _schedule_dispatch(self) -> None:
-        if not self._scheduled:
-            self._scheduled = True
-            self.sim.schedule(0, self._dispatch)
+    def _abandon(self, fn: Callable[["Event"], None]) -> None:
+        """Drop waiter callback ``fn``: its process was interrupted while
+        parked here.  Subclasses that hand something to their waiter (a
+        store getter) override this to take it back."""
+        if self._cb1 == fn:
+            more = self._more
+            self._cb1 = more.pop(0) if more else None
+            if not more:
+                self._more = None
+        elif self._more is not None and fn in self._more:
+            self._more.remove(fn)
+            if not self._more:
+                self._more = None
 
     def _dispatch(self) -> None:
         # Mark processed *before* invoking callbacks so late registrations

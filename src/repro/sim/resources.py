@@ -16,35 +16,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
-class Request(Event):
-    """The event returned by :meth:`Resource.request`.
+class _Lease:
+    """What :meth:`Resource.acquire` returns: a context manager whose exit
+    gives the slot back.  One per resource, shared by every acquisition,
+    so taking a slot allocates nothing."""
 
-    Usable as a context manager inside a process so the slot is released even
-    if the process body raises::
+    __slots__ = ("_resource",)
 
-        with resource.request() as req:
-            yield req
-            ...critical section...
-    """
+    def __init__(self, resource: "Resource"):
+        self._resource = resource
 
-    __slots__ = ("resource", "_released")
-
-    def __init__(self, sim: "Simulator", resource: "Resource"):
-        super().__init__(sim, name=resource._request_name)
-        self.resource = resource
-        self._released = False
-
-    def release(self) -> None:
-        """Give the slot back (idempotent)."""
-        if not self._released:
-            self._released = True
-            self.resource._release(self)
-
-    def __enter__(self) -> "Request":
+    def __enter__(self) -> "_Lease":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self.release()
+        self._resource.release()
 
 
 class Resource:
@@ -53,6 +39,13 @@ class Resource:
     Waiters are granted strictly in request order, which both matches the
     hardware being modelled (memory channel queues, NIC SQ processing) and
     keeps runs deterministic.
+
+    A free slot is taken inline, with no event: an uncontended
+    :meth:`hold` costs exactly one dispatch (the end of the hold), and an
+    uncontended :meth:`acquire` none.  Only a waiter that finds every slot
+    busy parks on an event, which the releasing holder succeeds.  Both
+    helpers are cancel-safe: a waiter interrupted in the queue leaves it,
+    and one interrupted after the slot was handed over passes it on.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource"):
@@ -61,11 +54,10 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        # Precomputed once: Request construction is on the hot path of every
-        # memory/NIC/channel acquire, so avoid a per-request f-string.
-        self._request_name = f"request({name})"
+        self._wait_name = f"wait({name})"
         self._in_use = 0
-        self._queue: Deque[Request] = deque()
+        self._queue: Deque[Event] = deque()
+        self._lease = _Lease(self)
 
     @property
     def in_use(self) -> int:
@@ -74,42 +66,68 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        """Requests waiting for a slot."""
+        """Waiters parked for a slot."""
         return len(self._queue)
 
-    def request(self) -> Request:
-        """Ask for a slot; the returned event fires when granted."""
-        req = Request(self.sim, self)
+    def hold(self, ns: int, inner: Optional["Resource"] = None) -> Generator[Event, Any, None]:
+        """Process helper: occupy one slot for ``ns`` ns, then release it.
+
+        ``yield from res.hold(ns)`` starts the hold at once when a slot is
+        free, else after every earlier waiter.  With ``inner``, a slot of
+        ``inner`` is also taken (waiting for it while holding this one) and
+        both are held for the same ``ns``; ``inner`` is released first.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            req.succeed(req)
         else:
-            self._queue.append(req)
-        return req
+            yield from self._wait()
+        try:
+            if inner is not None:
+                yield from inner.hold(ns)
+            elif ns > 0:
+                yield self.sim.sleep(ns)
+        finally:
+            self.release()
 
-    def _release(self, _req: Request) -> None:
-        # Hand the slot directly to the next waiter, if any.
-        while self._queue:
-            nxt = self._queue.popleft()
-            if nxt.triggered:  # cancelled/failed waiter; skip it
-                continue
-            nxt.succeed(nxt)
-            return
-        self._in_use -= 1
-        if self._in_use < 0:
-            raise RuntimeError(f"resource {self.name!r} over-released")
+    def acquire(self) -> Generator[Event, Any, _Lease]:
+        """Process helper for a critical section of variable length::
 
-    def acquire(self) -> Generator[Event, Any, Request]:
-        """Process-style helper: ``req = yield from resource.acquire()``.
+            with (yield from res.acquire()):
+                ...critical section...
 
-        Hot paths should prefer the frame-free equivalent
-        ``with (yield resource.request()):`` — the request event succeeds
-        with itself, so yielding it directly delivers the same
-        :class:`Request` without this extra generator.
+        A free slot is taken without yielding; otherwise the caller waits
+        its FIFO turn.  The returned lease releases the slot on exit, also
+        when the body raises.
         """
-        req = self.request()
-        yield req
-        return req
+        if self._in_use < self.capacity:
+            self._in_use += 1
+        else:
+            yield from self._wait()
+        return self._lease
+
+    def release(self) -> None:
+        """Give a slot back: hand it to the oldest waiter, if any."""
+        if self._queue:
+            self._queue.popleft().succeed()
+            return
+        if self._in_use <= 0:
+            raise RuntimeError(f"resource {self.name!r} over-released")
+        self._in_use -= 1
+
+    def _wait(self) -> Generator[Event, Any, None]:
+        # Park until a releasing holder hands its slot over.
+        grant = Event(self.sim, name=self._wait_name)
+        self._queue.append(grant)
+        try:
+            yield grant
+        except BaseException:
+            # Interrupted (or closed) while parked: leave the queue, or pass
+            # on a slot that was handed over but never used.
+            if grant.triggered:
+                self.release()
+            else:
+                self._queue.remove(grant)
+            raise
 
 
 class Store:
@@ -138,18 +156,29 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        """Offer ``item``; the returned event fires once it is accepted."""
+        """Offer ``item``; the returned event fires once it is accepted.
+
+        An accepted put's event is already triggered but not scheduled: it
+        costs a dispatch only if someone yields it (the kernel's wait path
+        schedules it then), so the common unwaited put dispatches nothing.
+        """
         ev = Event(self.sim, name=self._put_name)
         if self.capacity is not None and len(self._items) >= self.capacity:
             self._putters.append((ev, item))
             return ev
         self._accept(item)
-        ev.succeed(None)
+        ev._value = None
         return ev
 
     def get(self) -> Event:
-        """Take the oldest item; the returned event fires with the item."""
-        ev = Event(self.sim, name=self._get_name)
+        """Take the oldest item; the returned event fires with the item.
+
+        Cancel-safe: a getter whose process is interrupted while parked
+        leaves the queue, and an item already handed to it goes back to
+        the front of the line.
+        """
+        ev = _Get(self.sim, name=self._get_name)
+        ev._store = self
         if self._items:
             ev.succeed(self._items.popleft())
             self._admit_blocked_putter()
@@ -197,13 +226,23 @@ class Store:
         return True
 
     def _accept(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
+
+    def _withdraw(self, getter: "_Get") -> None:
+        # The getter's only waiter was interrupted (see _Get._abandon).
+        if not getter.triggered:
+            self._getters.remove(getter)
+        elif getter._exception is None:
+            # Handed an item this instant but never delivered: re-offer it
+            # ahead of everything queued behind it.
+            item = getter._value
+            if self._getters:
+                self._getters.popleft().succeed(item)
+            else:
+                self._items.appendleft(item)
 
     def _admit_blocked_putter(self) -> None:
         if self._putters and (self.capacity is None or len(self._items) < self.capacity):
@@ -211,6 +250,18 @@ class Store:
             self._accept(item)
             if not ev.triggered:
                 ev.succeed(None)
+
+
+class _Get(Event):
+    """The event :meth:`Store.get` returns; withdraws itself from its store
+    when the process parked on it is interrupted."""
+
+    __slots__ = ("_store",)
+
+    def _abandon(self, fn) -> None:
+        Event._abandon(self, fn)
+        if self._cb1 is None and self._more is None and not self._processed:
+            self._store._withdraw(self)
 
 
 class FifoChannel:
@@ -238,10 +289,9 @@ class FifoChannel:
 
     def transfer(self, nbytes: int) -> Generator[Event, Any, None]:
         """Process helper: occupy the channel for the payload's wire time."""
-        with (yield self._gate.request()):
-            if nbytes > 0:
-                yield self.sim.sleep(self.busy_time(nbytes))
-                self.bytes_moved += nbytes
+        yield from self._gate.hold(self.busy_time(nbytes))
+        if nbytes > 0:
+            self.bytes_moved += nbytes
 
     @property
     def queued(self) -> int:
@@ -274,11 +324,15 @@ class TokenBucket:
         self._last_refill = now
 
     def consume(self, tokens: float = 1.0) -> Generator[Event, Any, None]:
-        """Process helper: wait until ``tokens`` are available, then take them."""
+        """Process helper: wait until ``tokens`` are available, then take them.
+
+        Dispatches nothing when no earlier consumer is waiting and the
+        tokens are there.
+        """
         if tokens > self.burst:
             raise ValueError(f"cannot consume {tokens} > burst {self.burst}")
         # Serialize consumers so arrival order is honoured.
-        with (yield self._gate.request()):
+        with (yield from self._gate.acquire()):
             self._refill()
             if self._tokens < tokens:
                 deficit = tokens - self._tokens

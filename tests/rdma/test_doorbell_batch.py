@@ -78,3 +78,29 @@ def test_post_send_many_requires_connection():
     rig.qp_a.remote = None
     with pytest.raises(QpError):
         rig.qp_a.post_send_many([])
+
+
+def test_verb_processes_finish_without_a_completion_dispatch(rig):
+    """Callers wait on each WR's completion event, never on the verb
+    process, so a finished verb process dispatches nothing."""
+    from repro.sim.kernel import Process
+
+    mr_b = rig.ep_b.register_mr(rig.mem_b, 0, 4096, access=AccessFlags.ALL)
+    completions = []
+
+    def hook(when, fn):
+        owner = getattr(fn, "__self__", None)
+        if isinstance(owner, Process) and fn.__name__ == "_dispatch":
+            completions.append(owner.name)
+
+    rig.sim.dispatch_hook = hook
+
+    def app():
+        done = [rig.qp_a.post_send(wr) for wr in _write_wrs(mr_b.rkey, 2)]
+        done += rig.qp_a.post_send_many(_write_wrs(mr_b.rkey, 3))
+        for ev in done:
+            assert (yield ev).ok
+
+    rig.run(app())
+    # Only the app process, which the rig joins, completes with a dispatch.
+    assert completions == ["app"]

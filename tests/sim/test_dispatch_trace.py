@@ -2,8 +2,18 @@
 
 Replays the seeded YCSB-B + chaos scenario from ``dispatch_scenario.py``
 with ``sim.dispatch_hook`` installed and compares the per-dispatch
-(time, callback) trace against ``tests/data/dispatch_trace_golden.json``,
-which was captured from the pre-calendar-queue single-heap kernel.
+(time, callback) trace against ``tests/data/dispatch_trace_golden.json``.
+
+The golden was first captured from the pre-calendar-queue single-heap
+kernel (13,516 dispatches).  It was re-pinned once, to 6,368 dispatches
+with the same final virtual time (271,101 ns), when the contention
+primitives stopped dispatching events that do no work: an uncontended
+``Resource.hold``/``acquire`` takes its slot inline instead of through a
+zero-delay grant, an accepted ``Store.put`` leaves its event unscheduled,
+and a verb process finishes without a completion dispatch.  The one
+ordering change that came with it: two flows reaching the same fabric
+ingress port at the same instant are ordered by call, no longer by the
+dispatch of their egress grants.
 
 A mismatch means the event queue no longer dispatches in (time, seq) order —
 i.e. same-seed runs are no longer bit-for-bit comparable across kernel

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FifoChannel, Resource, Simulator, Store, TokenBucket
+from repro.sim import Event, FifoChannel, Interrupt, Resource, Simulator, Store, TokenBucket
 
 
 # ---------------------------------------------------------------------------
@@ -17,8 +17,12 @@ def test_resource_capacity_validated():
 def test_resource_grants_up_to_capacity_immediately():
     sim = Simulator()
     res = Resource(sim, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    assert r1.triggered and r2.triggered and not r3.triggered
+    first, second, third = res.acquire(), res.acquire(), res.acquire()
+    # A free slot is taken inline: the helper returns without yielding.
+    for gen in (first, second):
+        with pytest.raises(StopIteration):
+            next(gen)
+    assert isinstance(next(third), Event)  # the third parks on a grant
     assert res.in_use == 2 and res.queued == 1
 
 
@@ -38,13 +42,15 @@ def test_resource_fifo_handoff_on_release():
     assert order == [(0, 0), (10, 1), (20, 2), (30, 3)]
 
 
-def test_resource_release_idempotent():
+def test_resource_over_release_raises():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    req = res.request()
-    req.release()
-    req.release()  # second call must be a no-op
+    with pytest.raises(StopIteration):
+        next(res.acquire())
+    res.release()
     assert res.in_use == 0
+    with pytest.raises(RuntimeError, match="over-released"):
+        res.release()
 
 
 def test_resource_context_manager_releases_on_exception():
@@ -65,6 +71,45 @@ def test_resource_context_manager_releases_on_exception():
     sim.run()
     assert p.ok and p.value == 1  # slot was freed despite the exception
     assert res.in_use == 0
+
+
+@pytest.mark.parametrize("helper", ["acquire", "hold"])
+@pytest.mark.parametrize("interrupt_at", [5, 10], ids=["queued", "handed-over"])
+def test_interrupted_resource_waiter_does_not_keep_the_slot(helper, interrupt_at):
+    """A waiter interrupted while parked must not take the slot with it.
+
+    At 5 the victim is still queued; at 10 the holder has just handed it
+    the slot but it has not resumed yet.  Either way the follower queued
+    behind it gets the slot when the holder is done.
+    """
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def holder(sim):
+        with (yield from res.acquire()):
+            yield sim.timeout(10)
+
+    def victim(sim):
+        yield sim.timeout(1)
+        if helper == "hold":
+            yield from res.hold(100)
+        else:
+            with (yield from res.acquire()):
+                yield sim.timeout(100)
+
+    def follower(sim):
+        yield sim.timeout(2)
+        with (yield from res.acquire()):
+            return sim.now
+
+    sim.spawn(holder(sim))
+    v = sim.spawn(victim(sim))
+    f = sim.spawn(follower(sim))
+    sim.schedule(interrupt_at, v.interrupt)
+    sim.run()
+    assert isinstance(v.exception, Interrupt)
+    assert f.ok and f.value == 10
+    assert res.in_use == 0 and res.queued == 0
 
 
 def test_resource_parallelism_matches_capacity():
@@ -163,6 +208,35 @@ def test_store_capacity_backpressure():
     sim.run()
     puts = [t for op, _, t in timeline if op == "put"]
     assert puts == [0, 10, 20]  # second/third puts wait for drains
+
+
+@pytest.mark.parametrize("interrupt_at", [5, 10], ids=["queued", "handed-over"])
+def test_interrupted_store_getter_does_not_swallow_the_next_item(interrupt_at):
+    """At 5 the victim's get is parked; at 10 the put has just handed it
+    the item but it has not resumed.  Either way the item reaches the
+    getter queued behind it."""
+    sim = Simulator()
+    store = Store(sim)
+
+    def victim(sim):
+        yield store.get()
+
+    def consumer(sim):
+        yield sim.timeout(1)
+        return (yield store.get())
+
+    def producer(sim):
+        yield sim.timeout(10)
+        store.put("x")
+
+    v = sim.spawn(victim(sim))
+    c = sim.spawn(consumer(sim))
+    sim.spawn(producer(sim))
+    sim.schedule(interrupt_at, v.interrupt)
+    sim.run()
+    assert isinstance(v.exception, Interrupt)
+    assert c.ok and c.value == "x"
+    assert len(store) == 0
 
 
 def test_store_try_get():
